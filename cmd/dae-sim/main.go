@@ -62,7 +62,7 @@ func main() {
 		specMisspec  = flag.Float64("spec-misspec", 0, "speculative-DAE: misspeculation probability per speculative load [0,1]")
 		specSquash   = flag.Int64("spec-squash", 0, "speculative-DAE: squash refetch penalty in cycles (0 = default "+fmt.Sprint(daesim.DefaultSquashCycles)+" when loads speculate)")
 		specLoD      = flag.Int64("spec-lod", 0, "speculative-DAE: force a loss-of-decoupling event every N fetched instructions per context (0 = never)")
-		parallel     = flag.Int("parallel", 1, "advance a multi-core run's cores on up to N goroutines in deterministic epochs; results are bit-identical to -parallel 1 and the knob never changes the Request hash (generator workloads only — trace replay stays serial)")
+		parallel     = flag.Int("parallel", 1, "advance a multi-core run's cores on up to N goroutines in deterministic epochs; results are bit-identical to -parallel 1 and the knob never changes the Request hash (flat or -privatel2 machines on generator workloads only — a shared -l2size L2 and trace replay stay serial)")
 		jsonOut      = flag.Bool("json", false, "emit the report as JSON (for scripting)")
 		cacheDir     = flag.String("cache", "", "on-disk result cache directory shared with dae-sweep and dae-serve (bench/mix runs only)")
 		hashOnly     = flag.Bool("hash", false, "print the run's Request content hash and exit without simulating")

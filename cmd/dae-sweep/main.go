@@ -64,7 +64,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		measure  = fs.Int64("measure", 0, "measured instructions per thread (0 = default)")
 		seed     = fs.Uint64("seed", 0, "workload seed")
 		workers  = fs.Int("workers", 0, "parallel simulations (0 = all cores)")
-		parallel = fs.Int("parallel", 0, "let each eligible multi-core point also use up to N goroutines for its own cores (epoch-parallel, bit-identical results; workers are budgeted from the shared -workers pool)")
+		parallel = fs.Int("parallel", 0, "let each eligible multi-core point (flat or private-L2 machine, no shared L2) also use up to N goroutines for its own cores (epoch-parallel, bit-identical results; workers are budgeted from the shared -workers pool)")
 		csvDir   = fs.String("csv", "", "also write raw results as CSV files into this directory")
 		cacheDir = fs.String("cache", "", "on-disk result cache directory: re-runs skip already-computed points and interrupted sweeps resume")
 		hashFile = fs.String("hashfile", "", "write the sorted result content hashes (one 'jobhash reporthash key' line per point) to this file; two runs of the same sweep must produce identical files (the CI determinism gate)")

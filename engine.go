@@ -13,11 +13,13 @@ type EngineOpts struct {
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS). The bound
 	// is global across every Run/RunBatch call sharing the Engine.
 	Workers int
-	// Parallel, when > 1, lets eligible multi-core requests run their
-	// cores on up to Parallel goroutines in deterministic epochs, with
-	// the workers budgeted from the same global Workers semaphore (see
-	// runner.Options.Parallel). Results — and request hashes, and cache
-	// entries — are bit-identical to serial execution.
+	// Parallel, when > 1, lets eligible multi-core requests — generator
+	// workloads on a flat or private-L2 machine, with no level shared
+	// between the cores — run their cores on up to Parallel goroutines
+	// in deterministic epochs, with the workers budgeted from the same
+	// global Workers semaphore (see runner.Options.Parallel). Results —
+	// and request hashes, and cache entries — are bit-identical to
+	// serial execution.
 	Parallel int
 	// CacheDir enables the on-disk result cache tier ("" = in-memory
 	// only). The directory is shared with dae-sweep/dae-sim -cache:

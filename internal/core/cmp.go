@@ -142,15 +142,6 @@ func (p *CMP) Step(horizon int64) {
 			end = e
 		}
 	}
-	if p.ic.EpochMode() {
-		// Epoch mode reroutes shared-chain fills from the per-core
-		// calendar broadcast to the interconnect's own calendar; clamp
-		// the skip so the serial stretches between epochs still tick at
-		// every cycle a shared level installs a line.
-		if at, ok := p.ic.NextSharedFillAt(); ok && at-1 < end {
-			end = at - 1
-		}
-	}
 	if end > p.Now() && !p.Done() {
 		k := end - p.Now()
 		for _, co := range p.cores {

@@ -2,122 +2,43 @@ package core
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
-
-	"repro/internal/mem"
 )
 
-// Epoch-parallel CMP execution (DESIGN.md §12): the cores of one run
-// advance concurrently on worker goroutines between shared-level
-// boundary events, and a coordinator applies every interconnect
-// crossing in the serial lockstep order — (cycle, core index), fills
-// before write-backs before fetches within a cycle — so the parallel
-// run is bit-identical to the serial one.
+// Epoch-parallel CMP execution (DESIGN.md §12): on a machine with no
+// shared chain — the flat model, or one private hierarchy per core —
+// each core of a run advances on its own worker goroutine to a common
+// horizon cycle, and the coordinator joins them there. No core's memory
+// traffic reaches a level another core uses, so each core's epoch is a
+// function of its own state alone and the parallel run is bit-identical
+// to serial lockstep stepping at any GOMAXPROCS.
 //
-// Worker protocol, per epoch [start, h]:
+// The one cross-core effect left is coherence: a store probes the other
+// cores' private levels. The caller must have declared disjoint address
+// spaces on the interconnect (sim gates on it), under which every probe
+// finds nothing, so the probes are skipped while an epoch is open.
 //
-//   - Each live core's worker steps its core privately toward h
-//     (pipeline, private L1 hits, per-core calendar fast-forwards, and
-//     with PrivateHierarchy its whole private chain).
-//   - A fetch into the shared chain parks the worker: it publishes the
-//     request, releases its CPU slot and blocks until the coordinator
-//     has applied every shared event ordered before it and replayed
-//     the fetch against the real chain. Dirty-victim write-backs are
-//     fire-and-forget: cycle-stamped into a per-core FIFO for the
-//     barrier.
-//   - The coordinator applies the earliest parked crossing only when
-//     every still-running worker is provably past its cycle (the gate
-//     handshake below); ties break by core index, which is exactly the
-//     serial FCFS-by-core-index arbitration.
-//   - Cores blocked on a full shared MSHR file retry their access
-//     every cycle (the probe marks the cycle unskippable), so each
-//     retry is itself a crossing and no worker can fast-forward past
-//     the shared fill that unblocks it.
-//
-// Determinism: every coordinator decision is a function of (cycle,
-// core index) orderings of simulation events, which are themselves
-// deterministic facts of the serial machine. Host scheduling only
-// changes when the coordinator learns a fact, never its value, so
-// results are independent of GOMAXPROCS and bit-identical to serial.
-//
-// The runner requires the workload's disjoint-address-space promise
-// (sim gates on it): coherence probes are suppressed while an epoch is
-// open, which is observation-free only when no line is ever cached by
-// two cores.
+// On a CMP with a shared chain the runner starts no workers and
+// RunEpoch advances the machine with the serial CMP.Step loop.
 
-// Worker status, as tracked by the coordinator.
-const (
-	wsRunning  = iota // stepping toward the horizon; cycle = proven lower bound
-	wsCrossing        // parked on a shared-chain fetch at cycle
-	wsHorizon         // reached the epoch horizon
-	wsDone            // core drained at cycle, before the horizon
-)
-
-// Worker → coordinator events.
-const (
-	evCrossing = iota // parked on a shared fetch at cycle
-	evHorizon         // reached the horizon (or observed an abort)
-	evDone            // core drained at cycle
-	evCleared         // passed a requested gate; cycle = current core cycle
-)
-
-type workerEvent struct {
-	idx   int
-	kind  int
-	cycle int64
-}
-
-type wstate struct {
-	status int
-	cycle  int64
-}
-
-type wbEntry struct {
-	cycle int64
-	line  uint64
-}
-
-type fetchResult struct {
-	avail int64
-	ok    bool
-}
+// serialPollMask amortizes context polling on the serial path: ctx is
+// checked once every (mask+1) steps.
+const serialPollMask = 1<<10 - 1
 
 // EpochRunner drives one CMP's cores in parallel epochs. Create with
 // NewEpochRunner (which rewires the interconnect for epoch mode — the
 // machine remains serially steppable between epochs), run epochs with
 // RunEpoch, and Close when the run ends to stop the worker goroutines.
 type EpochRunner struct {
-	p       *CMP
-	ws      []*epochWorker
-	st      []wstate
-	events  chan workerEvent
+	p *CMP
+	// runs[c] hands core c's worker the horizon of its next epoch; nil
+	// on a shared-chain CMP.
+	runs []chan int64
+	// done receives one token per worker that ended its epoch.
+	done    chan struct{}
 	slots   chan struct{}
 	aborted atomic.Bool
 	closed  bool
-}
-
-type epochWorker struct {
-	r     *EpochRunner
-	idx   int
-	co    *Core
-	runCh chan int64       // coordinator → worker: run an epoch to this horizon
-	resCh chan fetchResult // coordinator → worker: parked fetch outcome
-
-	// Parked crossing request; written by the worker before its
-	// evCrossing send, read by the coordinator after receiving it.
-	reqLine  uint64
-	reqReady int64
-
-	// Outbound shared-chain write-backs, appended in cycle order by the
-	// worker, drained in global (cycle, index) order by the coordinator.
-	mu     sync.Mutex
-	wbs    []wbEntry
-	wbHead int
-
-	// gate is the coordinator's request "report when your cycle exceeds
-	// this"; the worker answers with evCleared. Zero means no request.
-	gate atomic.Int64
 }
 
 // NewEpochRunner prepares the CMP for epoch-parallel execution with at
@@ -126,36 +47,21 @@ type epochWorker struct {
 // have declared disjoint address spaces on the interconnect — the
 // coherence-skip soundness argument depends on it.
 func NewEpochRunner(p *CMP, workers int) *EpochRunner {
-	if workers > len(p.cores) {
-		workers = len(p.cores)
+	e := &EpochRunner{p: p}
+	if p.cfg.Mem.SharedChain() {
+		return e
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	e := &EpochRunner{
-		p:      p,
-		st:     make([]wstate, len(p.cores)),
-		events: make(chan workerEvent, 2*len(p.cores)),
-		slots:  make(chan struct{}, workers),
-	}
-	handlers := make([]mem.EpochHandler, len(p.cores))
-	for i, co := range p.cores {
-		w := &epochWorker{
-			r:     e,
-			idx:   i,
-			co:    co,
-			runCh: make(chan int64),
-			resCh: make(chan fetchResult, 1),
-		}
-		e.ws = append(e.ws, w)
-		handlers[i] = w
-	}
-	p.ic.EnableEpochMode(handlers, func(c int) func(at int64) {
+	workers = min(max(workers, 1), len(p.cores))
+	e.done = make(chan struct{}, len(p.cores))
+	e.slots = make(chan struct{}, workers)
+	p.ic.EnableEpochMode(func(c int) func(at int64) {
 		co := p.cores[c]
 		return func(at int64) { co.cal.schedule(co.now, at) }
 	})
-	for _, w := range e.ws {
-		go w.loop()
+	for _, co := range p.cores {
+		run := make(chan int64)
+		e.runs = append(e.runs, run)
+		go e.work(co, run)
 	}
 	return e
 }
@@ -168,8 +74,8 @@ func (e *EpochRunner) Close() {
 		return
 	}
 	e.closed = true
-	for _, w := range e.ws {
-		close(w.runCh)
+	for _, run := range e.runs {
+		close(run)
 	}
 }
 
@@ -180,151 +86,81 @@ func (e *EpochRunner) Close() {
 // budget). On cancellation the machine state is not serial-equivalent
 // and the run must be discarded — the returned error propagates.
 func (e *EpochRunner) RunEpoch(ctx context.Context, h int64) error {
-	p := e.p
-	p.ic.EpochSetActive(true)
-	defer p.ic.EpochSetActive(false)
-	st := e.st
+	if e.runs == nil {
+		return e.stepSerially(ctx, h)
+	}
+	e.p.ic.EpochSetActive(true)
+	defer e.p.ic.EpochSetActive(false)
 	running := 0
-	for i, w := range e.ws {
-		if w.co.Done() {
-			st[i] = wstate{status: wsDone, cycle: w.co.now}
-		} else {
-			st[i] = wstate{status: wsRunning, cycle: w.co.now}
+	for c, run := range e.runs {
+		if !e.p.cores[c].Done() {
+			run <- h
 			running++
 		}
 	}
-	for i, w := range e.ws {
-		if st[i].status == wsRunning {
-			w.runCh <- h
+	for ; running > 0; running-- {
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			// Workers check the abort flag between steps; wait them out
+			// so none touches the machine after RunEpoch returns.
+			e.aborted.Store(true)
+			for ; running > 0; running-- {
+				<-e.done
+			}
+			e.aborted.Store(false)
+			return ctx.Err()
 		}
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return e.abort(st, running, err)
-		}
-		// Earliest parked crossing; ties go to the lowest core index —
-		// the serial FCFS-by-core-index arbitration order.
-		t, c := int64(0), -1
-		for i := range st {
-			if st[i].status == wsCrossing && (c < 0 || st[i].cycle < t) {
-				t, c = st[i].cycle, i
-			}
-		}
-		if c < 0 {
-			if running == 0 {
-				break
-			}
-			e.recv(st, &running)
-			continue
-		}
-		// A core that drained before t can still hold in-flight fills
-		// whose dirty victims write back into the shared chain; advance
-		// it (single-threaded, it has no worker running) so its traffic
-		// is buffered before the frontier moves past it.
-		for i := range st {
-			if st[i].status == wsDone && st[i].cycle < t {
-				e.advanceParked(e.ws[i], h)
-				st[i] = wstate{status: wsHorizon, cycle: h}
-			}
-		}
-		// Every running worker must be provably past cycle t: one at or
-		// before t could still emit earlier-ordered traffic.
-		wait := false
-		for i := range st {
-			if st[i].status == wsRunning && st[i].cycle <= t {
-				e.ws[i].gate.Store(t)
-				wait = true
-			}
-		}
-		if wait {
-			e.recv(st, &running)
-			continue
-		}
-		// Apply everything ordered before the crossing, then the
-		// crossing itself, and resume its worker.
-		w := e.ws[c]
-		e.drainShared(t, c)
-		avail, ok := p.ic.SharedFetch(t, w.reqLine, w.reqReady)
-		st[c] = wstate{status: wsRunning, cycle: t}
-		running++
-		w.resCh <- fetchResult{avail: avail, ok: ok}
-	}
-	e.finish(h, st)
+	e.finish(h)
 	return nil
 }
 
-// recv blocks for one worker event and folds it into the status table.
-func (e *EpochRunner) recv(st []wstate, running *int) {
-	e.apply(st, running, <-e.events)
-}
-
-func (e *EpochRunner) apply(st []wstate, running *int, ev workerEvent) {
-	switch ev.kind {
-	case evCrossing:
-		st[ev.idx] = wstate{status: wsCrossing, cycle: ev.cycle}
-		*running -= 1
-	case evHorizon:
-		st[ev.idx] = wstate{status: wsHorizon, cycle: ev.cycle}
-		*running -= 1
-	case evDone:
-		st[ev.idx] = wstate{status: wsDone, cycle: ev.cycle}
-		*running -= 1
-	case evCleared:
-		// May arrive late for an already-satisfied gate; it still
-		// tightens the worker's proven lower bound.
-		if st[ev.idx].status == wsRunning && ev.cycle > st[ev.idx].cycle {
-			st[ev.idx].cycle = ev.cycle
-		}
-	}
-}
-
-// finish closes the epoch: every core is parked at the horizon or
-// drained. Drained cores advance to the epoch end with full fidelity
-// (their in-flight fills land at exact cycles), and all remaining
-// shared traffic applies in order. If every core drained — possible
-// only with finite sources; the built-in generators never drain — the
-// epoch truncates at the last drain cycle, where the serial loop would
-// have stopped.
-func (e *EpochRunner) finish(h int64, st []wstate) {
-	end := h
-	allDone := true
-	for i := range st {
-		if st[i].status != wsDone {
-			allDone = false
-			break
-		}
-	}
-	if allDone {
-		end = 0
-		for i := range st {
-			if st[i].cycle > end {
-				end = st[i].cycle
+// stepSerially is RunEpoch on a shared-chain CMP: the serial lockstep
+// loop to h.
+func (e *EpochRunner) stepSerially(ctx context.Context, h int64) error {
+	p := e.p
+	for n := 0; p.Now() < h && !p.Done(); n++ {
+		if n&serialPollMask == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 		}
+		p.Step(h)
 	}
-	for _, w := range e.ws {
-		if w.co.now < end {
-			e.advanceParked(w, end)
-		}
-	}
-	e.drainShared(end, len(e.ws))
+	return nil
 }
 
-// advanceParked advances a parked, drained core to the target cycle on
-// the coordinator goroutine: ticks when state changes (in-flight L1 or
+// finish closes the epoch: every core is at the horizon or drained
+// before it. Drained cores advance to the epoch end with full fidelity
+// (their in-flight fills still land at exact cycles). If every core
+// drained — possible only with finite sources; the built-in generators
+// never drain — the epoch truncates at the last drain cycle, where the
+// serial loop would have stopped.
+func (e *EpochRunner) finish(h int64) {
+	end := h
+	if e.p.Done() {
+		end = 0
+		for _, co := range e.p.cores {
+			end = max(end, co.now)
+		}
+	}
+	for _, co := range e.p.cores {
+		advanceDrained(co, end)
+	}
+}
+
+// advanceDrained advances a drained core to the target cycle on the
+// coordinator goroutine: ticks when state changes (in-flight L1 or
 // private-chain fills still land, and their dirty victims write back),
 // fast-forwards between events. Equivalent to the serial loop's
 // treatment of a drained core, minus the Done re-check serial stepping
 // performs (a drained core stays drained).
-func (e *EpochRunner) advanceParked(w *epochWorker, to int64) {
-	co := w.co
+func advanceDrained(co *Core, to int64) {
 	for co.now < to {
 		co.Tick()
 		if !co.progressed {
-			end := co.nextEventAt() - 1
-			if end > to {
-				end = to
-			}
+			end := min(co.nextEventAt()-1, to)
 			if k := end - co.now; k > 0 {
 				co.fastForward(k)
 			}
@@ -332,136 +168,15 @@ func (e *EpochRunner) advanceParked(w *epochWorker, to int64) {
 	}
 }
 
-// drainShared applies every pending shared-chain event ordered before
-// core c's fetch at cycle t: internal fills at cycles ≤ t (a fill at
-// the crossing's own cycle precedes it — the serial BeginCycle runs
-// before any core ticks), and buffered write-backs at (cycle < t), or
-// (cycle == t, index ≤ c) — core c's own cycle-t victims wrote back in
-// its BeginCycle, before its access stage. Fills tie ahead of
-// write-backs at the same cycle for the same reason.
-func (e *EpochRunner) drainShared(t int64, c int) {
-	ic := e.p.ic
-	for {
-		fu, fok := ic.NextSharedFillAt()
-		wu, wi, wok := e.peekWB()
-		if fok && fu <= t && (!wok || fu <= wu) {
-			ic.ApplySharedCycle(fu)
-			continue
+// work is core co's worker goroutine: one epoch per horizon received,
+// holding a CPU slot throughout.
+func (e *EpochRunner) work(co *Core, run <-chan int64) {
+	for h := range run {
+		e.slots <- struct{}{}
+		for co.now < h && !co.Done() && !e.aborted.Load() {
+			co.Step(h)
 		}
-		if wok && (wu < t || (wu == t && wi <= c)) {
-			wb := e.ws[wi].popWB()
-			ic.SharedWriteback(wb.cycle, wb.line)
-			continue
-		}
-		return
+		<-e.slots
+		e.done <- struct{}{}
 	}
-}
-
-// peekWB returns the earliest buffered write-back's (cycle, core
-// index), scanning the per-core FIFOs. Workers may append concurrently
-// under their mutexes; anything a scan misses is at a later cycle than
-// the coordinator's current frontier and is picked up next time.
-func (e *EpochRunner) peekWB() (int64, int, bool) {
-	best, bi := int64(0), -1
-	for i, w := range e.ws {
-		w.mu.Lock()
-		if w.wbHead < len(w.wbs) {
-			if cyc := w.wbs[w.wbHead].cycle; bi < 0 || cyc < best {
-				best, bi = cyc, i
-			}
-		}
-		w.mu.Unlock()
-	}
-	return best, bi, bi >= 0
-}
-
-// abort unwinds a cancelled epoch: parked fetches are rejected so
-// their workers can observe the abort flag and park, then remaining
-// events drain. Machine state is no longer serial-equivalent, which is
-// fine — a cancelled run returns no result.
-func (e *EpochRunner) abort(st []wstate, running int, err error) error {
-	e.aborted.Store(true)
-	for i := range st {
-		if st[i].status == wsCrossing {
-			st[i] = wstate{status: wsRunning, cycle: st[i].cycle}
-			running++
-			e.ws[i].resCh <- fetchResult{}
-		}
-	}
-	for running > 0 {
-		ev := <-e.events
-		e.apply(st, &running, ev)
-		if ev.kind == evCrossing {
-			st[ev.idx] = wstate{status: wsRunning, cycle: ev.cycle}
-			running++
-			e.ws[ev.idx].resCh <- fetchResult{}
-		}
-	}
-	e.aborted.Store(false)
-	return err
-}
-
-// loop is the worker goroutine body: one epoch per horizon received.
-func (w *epochWorker) loop() {
-	for h := range w.runCh {
-		w.run(h)
-	}
-}
-
-func (w *epochWorker) run(h int64) {
-	w.acquire()
-	co := w.co
-	for co.now < h && !co.Done() && !w.r.aborted.Load() {
-		co.Step(h)
-		if g := w.gate.Load(); g != 0 && co.now > g {
-			w.gate.Store(0)
-			w.send(evCleared, co.now)
-		}
-	}
-	w.release()
-	if co.now < h && co.Done() {
-		w.send(evDone, co.now)
-	} else {
-		w.send(evHorizon, co.now)
-	}
-}
-
-func (w *epochWorker) acquire() { w.r.slots <- struct{}{} }
-func (w *epochWorker) release() { <-w.r.slots }
-
-func (w *epochWorker) send(kind int, cycle int64) {
-	w.r.events <- workerEvent{idx: w.idx, kind: kind, cycle: cycle}
-}
-
-// EpochFetch implements mem.EpochHandler: park until the coordinator
-// replays the fetch in barrier order. The CPU slot is released while
-// parked so other cores' workers can run — and so the slot discipline
-// can never deadlock: a parked worker holds nothing.
-func (w *epochWorker) EpochFetch(line uint64, now, ready int64) (int64, bool) {
-	w.release()
-	w.reqLine, w.reqReady = line, ready
-	w.send(evCrossing, now)
-	res := <-w.resCh
-	w.acquire()
-	return res.avail, res.ok
-}
-
-// EpochWriteback implements mem.EpochHandler: buffer the dirty victim,
-// cycle-stamped, for the barrier drain.
-func (w *epochWorker) EpochWriteback(line uint64, now int64) {
-	w.mu.Lock()
-	w.wbs = append(w.wbs, wbEntry{cycle: now, line: line})
-	w.mu.Unlock()
-}
-
-func (w *epochWorker) popWB() wbEntry {
-	w.mu.Lock()
-	wb := w.wbs[w.wbHead]
-	w.wbHead++
-	if w.wbHead == len(w.wbs) {
-		w.wbs = w.wbs[:0]
-		w.wbHead = 0
-	}
-	w.mu.Unlock()
-	return wb
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/trace"
@@ -127,50 +128,111 @@ func TestEpochHorizonOnFarHeapEvent(t *testing.T) {
 	ep.advance(t, ep.p.Now()+500)
 }
 
-// TestEpochEdgeSharedFill pins a shared-level fill — the event the
-// serial machine broadcasts into every core's calendar and epoch mode
-// reroutes into the interconnect's own fill calendar — exactly on the
-// epoch edge: the barrier must apply it at its exact cycle, not a cycle
-// early or late.
-func TestEpochEdgeSharedFill(t *testing.T) {
+// TestEpochSharedChainStepsSerially: on a CMP whose cores share an L2
+// the runner starts no workers and leaves the fabric unrewired, and
+// RunEpoch is the serial lockstep loop — it must match the oracle at
+// every horizon, including horizons landing on a shared fill cycle
+// (the event the serial machine broadcasts into every core's
+// calendar), and honour a cancelled context.
+func TestEpochSharedChainStepsSerially(t *testing.T) {
 	m := config.Figure2(2).WithCores(2).
 		WithHierarchy(64, config.SharedL2(256<<10, 8))
 	ep := newEpochPair(t, m, 2)
+	if ep.er.runs != nil {
+		t.Fatal("shared-chain CMP started epoch workers")
+	}
 
 	ep.advance(t, 100)
-	var hit bool
 	for i := 0; i < 12; i++ {
-		at, ok := ep.p.ic.NextSharedFillAt()
-		if !ok || at <= ep.p.Now() {
-			// No fill in flight right now; nudge forward and retry.
-			ep.advance(t, ep.p.Now()+50)
-			continue
-		}
-		hit = true
-		// Epoch edge exactly on the shared fill cycle, then one cycle
-		// past it (the fill frees the shared MSHR *at* the edge; the
-		// cores react the cycle after).
-		ep.advance(t, at)
+		// Horizon exactly on the next event any core waits for, then one
+		// cycle past it.
+		ep.advance(t, ep.nextCoreEvent(t))
 		ep.advance(t, ep.p.Now()+1)
 	}
-	if !hit {
-		t.Fatal("no shared fill observed; the config no longer misses to DRAM")
+	ep.advance(t, 20_000)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := ep.er.RunEpoch(ctx, ep.p.Now()+1_000); err != context.Canceled {
+		t.Fatalf("cancelled RunEpoch = %v, want context.Canceled", err)
 	}
 }
 
-// TestEpochZeroSharedEvents runs epochs over a machine with no shared
+// TestEpochZeroSharedEvents runs epochs over a machine with no
 // hierarchy at all — the flat model keeps every memory event in the
-// per-core calendars — so whole epochs contain zero shared events and
-// the barrier's drain loop must be a no-op that still keeps the cores
-// in lockstep agreement with the oracle.
+// per-core calendars — and requires the cores to stay in lockstep
+// agreement with the oracle at every horizon.
 func TestEpochZeroSharedEvents(t *testing.T) {
 	m := config.Figure2(2).WithCores(2)
 	ep := newEpochPair(t, m, 2)
 
 	for _, h := range []int64{100, 1_000, 5_000, 20_000} {
 		ep.advance(t, h)
-		if at, ok := ep.p.ic.NextSharedFillAt(); ok {
-			t.Fatalf("flat machine reported a shared fill at %d", at)
+	}
+}
+
+// TestEpochCancelMidEpoch: cancelling the context while the workers
+// run toward a far horizon returns the context's error promptly, and
+// the runner stays usable for Close.
+func TestEpochCancelMidEpoch(t *testing.T) {
+	m := config.Figure2(2).WithCores(2)
+	ep := newEpochPair(t, m, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(20*time.Millisecond, cancel)
+	defer timer.Stop()
+	start := time.Now()
+	if err := ep.er.RunEpoch(ctx, 1<<40); err != context.Canceled {
+		t.Fatalf("RunEpoch = %v, want context.Canceled", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("cancellation took %v", took)
+	}
+}
+
+// TestEpochDrainedCores runs finite sources of very different lengths:
+// one core drains mid-epoch and must still advance to the horizon with
+// its in-flight fills landing on time, and once every core has drained
+// the epoch must stop at the last drain cycle, where the serial loop
+// stops.
+func TestEpochDrainedCores(t *testing.T) {
+	m := config.Figure2(1).WithCores(2).
+		WithHierarchy(300, config.SharedL2(64<<10, 8)).
+		WithPrivateHierarchy()
+	build := func() *CMP {
+		srcs := workload.MixSources(2, workload.MixOpts{})
+		srcs[0] = trace.Limit(srcs[0], 1_000)
+		srcs[1] = trace.Limit(srcs[1], 50_000)
+		p, err := NewCMP(m, srcs)
+		if err != nil {
+			t.Fatal(err)
 		}
+		p.Interconnect().SetDisjointAddressSpaces(true)
+		return p
+	}
+	p, oracle := build(), build()
+	er := NewEpochRunner(p, 2)
+	defer er.Close()
+	for _, h := range []int64{20_000, 1 << 30} {
+		if err := er.RunEpoch(context.Background(), h); err != nil {
+			t.Fatal(err)
+		}
+		for oracle.Now() < h && !oracle.Done() {
+			oracle.Step(h)
+		}
+		if p.Now() != oracle.Now() {
+			t.Fatalf("horizon %d: parallel at %d, oracle at %d", h, p.Now(), oracle.Now())
+		}
+		if got, want := p.Report(), oracle.Report(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("horizon %d: state diverged\nparallel: %+v\noracle:   %+v", h, got, want)
+		}
+		if h == 20_000 && (!p.Core(0).Done() || p.Core(1).Done()) {
+			t.Fatalf("at %d want only core 0 drained: done = %v, %v", h, p.Core(0).Done(), p.Core(1).Done())
+		}
+	}
+	if !p.Done() || p.Now() >= 1<<30 {
+		t.Fatalf("machine not drained at a truncated horizon: done=%v now=%d", p.Done(), p.Now())
+	}
+	if !p.Core(0).Done() || p.Core(0).now != p.Now() {
+		t.Fatal("drained core 0 did not advance with the machine")
 	}
 }

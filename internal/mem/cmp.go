@@ -57,15 +57,11 @@ type Interconnect struct {
 
 	// Epoch-parallel execution state (see epoch.go and DESIGN.md §12).
 	// epochMode: the fabric is rewired for epoch runs (private chains
-	// advance in their cores' System.BeginCycle; shared fills feed
-	// fillCal instead of the per-core calendar broadcast). epochActive:
-	// an epoch is open right now — L1 traffic into the shared chain
-	// detours through the EpochHandlers and coherence broadcasts are
-	// suppressed (sound only under the disjoint promise, which the
-	// epoch runner requires).
+	// advance in their cores' System.BeginCycle). epochActive: an epoch
+	// is open right now — coherence broadcasts are suppressed (sound
+	// only under the disjoint promise, which the epoch runner requires).
 	epochMode   bool
 	epochActive bool
-	fillCal     fillHeap
 }
 
 // NewInterconnect builds the shared fabric for the given number of
@@ -182,9 +178,7 @@ func (ic *Interconnect) BeginCycle(now int64) int {
 		filled += ic.levels[i].beginCycle(now)
 	}
 	if ic.epochMode {
-		// Private chains advance in their cores' System.BeginCycle, and
-		// shared fills just completed are spent calendar entries.
-		ic.fillCal.dropThrough(now)
+		// Private chains advance in their cores' System.BeginCycle.
 		return filled
 	}
 	for _, chain := range ic.priv {

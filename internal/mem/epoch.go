@@ -2,86 +2,33 @@ package mem
 
 // Epoch mode: support for deterministic parallel CMP simulation
 // (DESIGN.md §12). The CMP driver shards cores across goroutines in
-// epochs; everything that crosses the interconnect — shared-chain
-// fetches, dirty-victim write-backs into the shared chain, and the
-// shared levels' own internally-scheduled fills — must still happen at
-// exact cycles in the serial lockstep order (FCFS by core index within
-// a cycle). This file provides the hooks the core-side epoch
-// coordinator drives:
+// epochs, which is only done for fabrics with no shared chain — the
+// flat model or a PrivateHierarchy — so no core's memory traffic ever
+// reaches a level another core uses. Two hooks remain:
 //
-//   - EnableEpochMode rewires the fabric once per run: each core's
-//     private chain (PrivateHierarchy) is moved into its own
-//     System.BeginCycle so a worker goroutine advances it without
-//     touching shared state, and with a shared chain each L1's
-//     downstream backend is wrapped in an epochPort that detours
-//     traffic to the core's EpochHandler while an epoch is open.
-//   - The interconnect keeps its own calendar of pending shared-chain
-//     fill cycles (fillCal): during an epoch the coordinator applies
-//     due fills at their exact cycles with ApplySharedCycle, and on the
-//     serial path the CMP driver clamps fast-forwards with
-//     NextSharedFillAt (per-core calendars no longer hear about shared
-//     fills in epoch mode).
-//   - SharedFetch/SharedWriteback let the coordinator replay a parked
-//     core's crossing against the real shared chain in barrier order.
-//
-// Epoch mode requires the workload's disjoint-address-space promise:
-// invalidateRemote is skipped while an epoch is open (a probe could
-// race a run-ahead core's private tags), which is equivalent by
-// construction only when no line is ever cached by two cores — the
-// same claim the functional warm path's skip rests on.
+//   - EnableEpochMode moves each core's private chain into its own
+//     System.BeginCycle, so a worker goroutine advances it without
+//     touching the interconnect.
+//   - EpochSetActive brackets an epoch; while it is open
+//     invalidateRemote is skipped (a probe could race a run-ahead
+//     core's private tags). That is equivalent by construction only
+//     under the workload's disjoint-address-space promise — no line is
+//     ever cached by two cores — the same claim the functional warm
+//     path's skip rests on.
 
-// EpochHandler intercepts one core's shared-chain traffic during a
-// parallel epoch. Fetches park the calling goroutine until the epoch
-// coordinator applies the request in deterministic order; write-backs
-// are fire-and-forget and are buffered, cycle-stamped, for the
-// barrier. now is the calling core's current cycle.
-type EpochHandler interface {
-	EpochFetch(line uint64, now, ready int64) (availAt int64, ok bool)
-	EpochWriteback(line uint64, now int64)
-}
-
-// epochPort wraps the real backend below one core's L1. While an epoch
-// is open it detours traffic to the core's EpochHandler; otherwise it
-// is a transparent pass-through, so the serial stretches between
-// epochs (and every run without -parallel) hit the chain directly.
-type epochPort struct {
-	ic   *Interconnect
-	sys  *System
-	h    EpochHandler
-	real backend
-}
-
-func (p *epochPort) fetch(line uint64, ready int64) (int64, bool) {
-	if !p.ic.epochActive {
-		return p.real.fetch(line, ready)
-	}
-	return p.h.EpochFetch(line, p.sys.now, ready)
-}
-
-func (p *epochPort) writeback(line uint64, now int64) {
-	if !p.ic.epochActive {
-		p.real.writeback(line, now)
-		return
-	}
-	p.h.EpochWriteback(line, now)
-}
-
-// EnableEpochMode rewires the fabric for epoch-parallel execution.
-// Called at most once, before the first cycle. handlers[c] intercepts
-// core c's shared-chain traffic during epochs (unused without a shared
-// chain); coreSched(c) returns the scheduling hook for core c's event
-// calendar, which private-chain fills are rerouted to (the CMP
-// driver's broadcast hook is replaced: shared fills go to the
-// interconnect's own calendar instead, see NextSharedFillAt).
-func (ic *Interconnect) EnableEpochMode(handlers []EpochHandler, coreSched func(c int) func(at int64)) {
+// EnableEpochMode rewires a fabric with no shared chain for
+// epoch-parallel execution. Called at most once, before the first
+// cycle. coreSched(c) returns the scheduling hook for core c's event
+// calendar: core c's private-chain fills schedule there instead of the
+// CMP driver's broadcast to every core.
+func (ic *Interconnect) EnableEpochMode(coreSched func(c int) func(at int64)) {
 	if ic.epochMode {
 		return
 	}
+	if len(ic.levels) > 0 {
+		panic("mem: epoch mode needs a fabric with no shared chain")
+	}
 	ic.epochMode = true
-	// Private chains: advancement moves from BeginCycle into each
-	// core's System.BeginCycle, and fills schedule into that core's own
-	// calendar — the chain is private state, so its owner worker can
-	// drive it with no cross-core traffic at all.
 	for c, chain := range ic.priv {
 		ic.systems[c].chain = chain
 		fn := coreSched(c)
@@ -89,118 +36,10 @@ func (ic *Interconnect) EnableEpochMode(handlers []EpochHandler, coreSched func(
 			l.sched = fn
 		}
 	}
-	// Shared chain: wrap every L1's backend and reroute the shared
-	// levels' fill events to the interconnect's own calendar.
-	if len(ic.levels) > 0 {
-		for c, s := range ic.systems {
-			s.l1.next = &epochPort{ic: ic, sys: s, h: handlers[c], real: s.l1.next}
-		}
-		for _, l := range ic.levels {
-			l.sched = ic.scheduleSharedFill
-			// Seed the calendar from fills already in flight (none when
-			// enabling before the first cycle, but exactness is cheap).
-			l.fillq.Scan(func(i int) bool {
-				ic.scheduleSharedFill(l.mshrs[i].fill)
-				return true
-			})
-		}
-	}
 }
-
-// EpochMode reports whether EnableEpochMode has run.
-func (ic *Interconnect) EpochMode() bool { return ic.epochMode }
 
 // EpochSetActive opens (true) or closes (false) an epoch: while open,
-// L1 traffic into the shared chain detours through the EpochHandlers
-// and coherence broadcasts are suppressed. Called by the epoch
-// coordinator with all worker goroutines parked, so the flag needs no
-// synchronization beyond the coordinator's own channels.
+// coherence broadcasts are suppressed. Called by the epoch coordinator
+// with no worker running, so the flag needs no synchronization beyond
+// the coordinator's own channels.
 func (ic *Interconnect) EpochSetActive(v bool) { ic.epochActive = v }
-
-// scheduleSharedFill records a future shared-chain fill cycle.
-func (ic *Interconnect) scheduleSharedFill(at int64) { ic.fillCal.push(at) }
-
-// NextSharedFillAt returns the earliest pending shared-chain fill
-// cycle, if any. The serial CMP fast-forward clamps on it in epoch
-// mode, standing in for the per-core calendar broadcast.
-func (ic *Interconnect) NextSharedFillAt() (int64, bool) {
-	if len(ic.fillCal) == 0 {
-		return 0, false
-	}
-	return ic.fillCal[0], true
-}
-
-// ApplySharedCycle advances the shared chain to the given cycle,
-// completing due refills bottom-up exactly as the serial BeginCycle
-// does. The epoch coordinator calls it for every pending fill cycle in
-// order, so dirty-victim bus bookings happen at their true cycles.
-func (ic *Interconnect) ApplySharedCycle(now int64) int {
-	ic.now = now
-	filled := 0
-	for i := len(ic.levels) - 1; i >= 0; i-- {
-		filled += ic.levels[i].beginCycle(now)
-	}
-	ic.fillCal.dropThrough(now)
-	return filled
-}
-
-// SharedFetch replays a parked core's shared-chain fetch against the
-// real chain: the coordinator calls it in (cycle, core-index) barrier
-// order, which is exactly the serial arbitration order.
-func (ic *Interconnect) SharedFetch(now int64, line uint64, ready int64) (int64, bool) {
-	ic.now = now
-	return ic.levels[0].fetch(line, ready)
-}
-
-// SharedWriteback replays a buffered dirty-victim write-back into the
-// shared chain at its recorded cycle.
-func (ic *Interconnect) SharedWriteback(now int64, line uint64) {
-	ic.now = now
-	ic.levels[0].writeback(line, now)
-}
-
-// fillHeap is a plain min-heap of pending shared-fill cycles.
-// Duplicates are fine (popping both is harmless).
-type fillHeap []int64
-
-func (h *fillHeap) push(at int64) {
-	*h = append(*h, at)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *fillHeap) dropThrough(now int64) {
-	for len(*h) > 0 && (*h)[0] <= now {
-		h.pop()
-	}
-}
-
-func (h *fillHeap) pop() {
-	s := *h
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s[l] < s[min] {
-			min = l
-		}
-		if r < n && s[r] < s[min] {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	*h = s
-}

@@ -108,6 +108,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// SharedChain reports whether the cores of a CMP built from this
+// configuration miss into one shared chain of levels (a Hierarchy
+// without PrivateHierarchy), as opposed to the flat model or one
+// private chain per core.
+func (c Config) SharedChain() bool {
+	return len(c.Hierarchy) > 0 && !c.PrivateHierarchy
+}
+
 // levelName returns the display name of hierarchy level i (L2 onward).
 func levelName(spec LevelSpec, i int) string {
 	if spec.Name != "" {

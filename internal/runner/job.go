@@ -132,7 +132,9 @@ type Job struct {
 	Workload Workload
 	Budget   Budget
 	// Parallel, when > 1, runs an eligible CMP job's cores on up to that
-	// many goroutines in deterministic epochs (sim.Options.Parallel).
+	// many goroutines in deterministic epochs (sim.Options.Parallel;
+	// eligible means sim.CanParallelize, so a shared-L2 machine runs
+	// serially).
 	// Like Key it is an execution hint, NOT part of the hash: parallel
 	// results are bit-identical to serial ones, so the knob must never
 	// split the cache. The Runner sizes it from its shared worker budget
@@ -264,6 +266,12 @@ func (j Job) sources() ([]trace.Reader, error) {
 	}
 }
 
+// disjoint reports whether the job's workload gives each context a
+// private address space: every generator workload does
+// (ThreadAddrOffset); an imported trace's addresses are whatever was
+// captured, so only traces withhold the promise.
+func (j Job) disjoint() bool { return j.Workload.Kind != KindTrace }
+
 // Execute runs the job's simulation once, bypassing every cache tier and
 // the worker pool — the uncached one-shot path behind the public
 // package-level Run* wrappers. Cancelling ctx aborts the run promptly
@@ -276,16 +284,13 @@ func (j Job) Execute(ctx context.Context, onProgress func(sim.Snapshot), every i
 		return stats.Report{}, fmt.Errorf("runner: job %q: %w", j.Key, err)
 	}
 	o := sim.Options{
-		Machine:      j.Machine,
-		Sources:      srcs,
-		WarmupInsts:  j.Budget.WarmupInsts,
-		MeasureInsts: j.Budget.MeasureInsts,
-		MaxCycles:    j.Budget.MaxCycles,
-		Mode:         j.Budget.Mode,
-		// Every generator workload gives each context a private address
-		// space (ThreadAddrOffset); an imported trace's addresses are
-		// whatever was captured, so only traces withhold the promise.
-		DisjointAddressSpaces: j.Workload.Kind != KindTrace,
+		Machine:               j.Machine,
+		Sources:               srcs,
+		WarmupInsts:           j.Budget.WarmupInsts,
+		MeasureInsts:          j.Budget.MeasureInsts,
+		MaxCycles:             j.Budget.MaxCycles,
+		Mode:                  j.Budget.Mode,
+		DisjointAddressSpaces: j.disjoint(),
 		Parallel:              j.Parallel,
 		OnProgress:            onProgress,
 		ProgressEvery:         every,

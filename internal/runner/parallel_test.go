@@ -7,12 +7,13 @@ import (
 	"repro/internal/config"
 )
 
-// cmpMixJob builds a quick multi-core mix job (epoch-parallel eligible).
+// cmpMixJob builds a quick multi-core private-L2 mix job
+// (epoch-parallel eligible).
 func cmpMixJob(key string, cores int) Job {
 	return Job{
 		Key: key,
 		Machine: config.Figure2(1).WithCores(cores).
-			WithHierarchy(64, config.SharedL2(256<<10, 8)),
+			WithHierarchy(64, config.SharedL2(256<<10, 8)).WithPrivateHierarchy(),
 		Workload: MixWorkload(0, 0),
 		Budget:   testBudget(),
 	}
@@ -24,6 +25,8 @@ func cmpMixJob(key string, cores int) Job {
 // are refused entirely for ineligible jobs.
 func TestGrabIntraSlots(t *testing.T) {
 	cmp4 := cmpMixJob("cmp4", 4)
+	shared4 := cmpMixJob("shared4", 4)
+	shared4.Machine.Mem.PrivateHierarchy = false
 	cases := []struct {
 		name     string
 		workers  int
@@ -38,6 +41,7 @@ func TestGrabIntraSlots(t *testing.T) {
 		{"one slot free means serial", 4, 4, 3, cmp4, 0},
 		{"parallel off", 8, 0, 0, cmp4, 0},
 		{"single core", 8, 8, 0, mixJob("1c", 2, 0), 0},
+		{"shared L2", 8, 8, 0, shared4, 0},
 		{"caller preset", 8, 8, 0, func() Job { j := cmpMixJob("preset", 4); j.Parallel = 2; return j }(), 0},
 	}
 	for _, tc := range cases {
@@ -77,7 +81,9 @@ func TestTraceJobsStaySerial(t *testing.T) {
 // the end-to-end form of the epoch equivalence guarantee at the runner
 // layer, cache and all.
 func TestParallelRunnerBitIdentical(t *testing.T) {
-	jobs := []Job{cmpMixJob("cmp2", 2), cmpMixJob("cmp4", 4), mixJob("mix-2t", 2, 0)}
+	flat := cmpMixJob("flat4", 4)
+	flat.Machine = config.Figure2(1).WithCores(4)
+	jobs := []Job{cmpMixJob("cmp2", 2), cmpMixJob("cmp4", 4), flat, mixJob("mix-2t", 2, 0)}
 
 	serial := mustRunner(t, Options{Workers: 1})
 	sres, err := serial.Run(jobs)

@@ -37,16 +37,17 @@ type Options struct {
 	// semaphore, so a Runner embedded in a long-lived service never
 	// exceeds it no matter how many callers overlap.
 	Workers int
-	// Parallel, when > 1, lets each eligible job (a multi-core CMP on a
-	// generator workload) run its cores on up to Parallel goroutines in
-	// deterministic epochs. Intra-run workers are budgeted from the SAME
+	// Parallel, when > 1, lets each eligible job (sim.CanParallelize: a
+	// multi-core CMP with no shared chain, on a generator workload) run
+	// its cores on up to Parallel goroutines in deterministic epochs.
+	// Intra-run workers are budgeted from the SAME
 	// semaphore as cross-job concurrency: a job grabs up to
 	// min(cores, Parallel)-1 extra slots without blocking (on top of the
 	// slot it already holds) and falls back to serial execution when none
 	// are free, so Workers stays the one global simulation bound whether
 	// the parallelism lands across jobs or inside one. Results are
-	// bit-identical either way (the epoch barrier replays serial order),
-	// so the knob never affects hashes or caching.
+	// bit-identical either way, so the knob never affects hashes or
+	// caching.
 	Parallel int
 	// CacheDir enables the on-disk result cache tier ("" = in-memory
 	// only). The directory is created if missing.
@@ -417,17 +418,10 @@ func (r *Runner) runJob(ctx context.Context, j Job) Result {
 // bound exact: every concurrently running goroutine, across and within
 // jobs, holds one slot.
 func (r *Runner) grabIntraSlots(j Job) int {
-	if r.parallel < 2 || j.Parallel != 0 {
+	if r.parallel < 2 || j.Parallel != 0 || !sim.CanParallelize(j.Machine, j.disjoint(), false) {
 		return 0
 	}
-	m := j.Machine.Effective()
-	if m.CoreCount() < 2 || j.Workload.Kind == KindTrace {
-		return 0
-	}
-	want := m.CoreCount()
-	if want > r.parallel {
-		want = r.parallel
-	}
+	want := min(j.Machine.CoreCount(), r.parallel)
 	got := 0
 	for got < want-1 {
 		select {

@@ -48,33 +48,23 @@ const adaptiveMaxBackoff = 16
 
 // adaptiveStepper is the controller state.
 type adaptiveStepper struct {
-	tick    func()
-	step    func(horizon int64)
-	now     func() int64
-	skipped func() int64
+	m       machine
 	horizon int64
 
 	left     int64 // advances remaining in the current window (the hot countdown)
 	stepping bool  // current driver: plain Tick when true
 	windows  int   // stepped windows remaining before the next fast probe
 	backoff  int   // stepped windows to commit after the next failed probe
-	winStart int64 // now() when the current fast window opened
-	lastSkip int64 // skipped() when the current fast window opened
+	winStart int64 // Now() when the current fast window opened
+	lastSkip int64 // SkippedCycles() when the current fast window opened
 }
 
-// NewAdaptiveStepper returns a step function that advances the machine
-// one scheduler step, switching between cycle stepping and calendar
-// fast-forward based on the realized skip rate. The primitives are passed
-// as closures so the simulator's run loop and external harnesses
-// (dae-bench) drive the identical controller. tick advances one cycle;
-// step fast-forwards (clamped to horizon); now and skipped read the
-// machine's clock and cumulative skipped-cycle counter.
-func NewAdaptiveStepper(tick func(), step func(horizon int64), now, skipped func() int64, horizon int64) func() {
-	a := &adaptiveStepper{
-		tick: tick, step: step, now: now, skipped: skipped,
-		horizon: horizon,
-		backoff: 1,
-	}
+// newAdaptiveStepper returns a step function that advances m one
+// scheduler step, switching between cycle stepping (Tick) and calendar
+// fast-forward (Step, clamped to horizon) based on the realized skip
+// rate.
+func newAdaptiveStepper(m machine, horizon int64) func() {
+	a := &adaptiveStepper{m: m, horizon: horizon, backoff: 1}
 	a.startFast(AdaptiveProbe)
 	return a.advance
 }
@@ -85,10 +75,10 @@ func (a *adaptiveStepper) advance() {
 	}
 	a.left--
 	if a.stepping {
-		a.tick()
+		a.m.Tick()
 		return
 	}
-	a.step(a.horizon)
+	a.m.Step(a.horizon)
 }
 
 // startFast opens a fast-forward window of n advances and records the
@@ -96,8 +86,8 @@ func (a *adaptiveStepper) advance() {
 func (a *adaptiveStepper) startFast(n int64) {
 	a.stepping = false
 	a.left = n
-	a.winStart = a.now()
-	a.lastSkip = a.skipped()
+	a.winStart = a.m.Now()
+	a.lastSkip = a.m.SkippedCycles()
 }
 
 // boundary closes the elapsed window and picks the driver for the next
@@ -114,8 +104,8 @@ func (a *adaptiveStepper) boundary() {
 		return
 	}
 	// A fast window just ended: did fast-forwarding earn its keep?
-	elapsed := a.now() - a.winStart
-	dSkip := a.skipped() - a.lastSkip
+	elapsed := a.m.Now() - a.winStart
+	dSkip := a.m.SkippedCycles() - a.lastSkip
 	if dSkip*100 < elapsed*adaptiveSkipPctMin {
 		a.stepping = true
 		a.left = AdaptiveWindow

@@ -151,10 +151,10 @@ func epochDenom(mc config.Machine) int64 {
 	return d
 }
 
-// Epoch sizing: below minEpochSpan cycles the parallel barrier cannot
+// Epoch sizing: below minEpochSpan cycles the worker hand-off cannot
 // pay for itself, so the step falls back to the (bit-identical) serial
-// driver; maxEpochSpan bounds an epoch so cancellation polling and the
-// coordinator's event horizon stay responsive.
+// driver; maxEpochSpan bounds an epoch so progress snapshots, which the
+// window loop takes between steps, keep coming on long runs.
 const (
 	minEpochSpan = 64
 	maxEpochSpan = 1 << 22
@@ -211,7 +211,7 @@ func newRunner(ctx context.Context, opts Options, mode Mode, m machine) *runner 
 	case mode == ModeAdaptive || mode == ModeSampled:
 		// Sampled runs use the adaptive driver for their detailed phases:
 		// the controller is bit-neutral, and sampling exists for speed.
-		r.step = NewAdaptiveStepper(m.Tick, m.Step, m.Now, m.SkippedCycles, r.maxCycles)
+		r.step = newAdaptiveStepper(m, r.maxCycles)
 	default:
 		r.step = func() { m.Step(r.maxCycles) }
 	}

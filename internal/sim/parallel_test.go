@@ -13,10 +13,10 @@ import (
 // The parallel arm of the golden equivalence suite: epoch-parallel CMP
 // execution (Options.Parallel, DESIGN.md §12) must produce results
 // bit-identical to the serial lockstep path on every machine shape it
-// can engage — flat, shared-chain and private-chain hierarchies, with
-// and without shared-MSHR contention — in every execution mode. These
-// tests exercise real goroutine sharing (run them under -race; CI
-// does), unlike the single-goroutine lockstep suite.
+// engages — flat and private-chain hierarchies — in every execution
+// mode, and shared-chain machines, which decline it, must match too.
+// These tests exercise real goroutine sharing (run them under -race;
+// CI does), unlike the single-goroutine lockstep suite.
 
 // runParallelBoth runs the same configuration serially and with
 // Parallel workers and fails the test on any difference.
@@ -41,11 +41,10 @@ func runParallelBoth(t *testing.T, name string, opts Options, par int, sources f
 }
 
 // parallelCases is one machine per epoch-relevant shape: the flat model
-// (no interconnect crossings at all), shared chains (every L1 miss is a
-// barrier-ordered crossing) including a contended small-and-narrow L2
-// and a tiny-MSHR file whose rejections make cores retry — and re-cross
-// — every cycle, and the private-chain ablation (chains advance inside
-// the worker goroutines).
+// and the private-chain ablation (chains advance inside the worker
+// goroutines), which run in parallel, and shared chains — including a
+// contended small-and-narrow L2 and a tiny-MSHR file whose rejections
+// make cores retry every cycle — which stay serial.
 func parallelCases() []struct {
 	name    string
 	machine config.Machine
@@ -102,7 +101,7 @@ func TestParallelEquivalenceCMP(t *testing.T) {
 // results — 2, 3 and 8 workers (more than cores) all match serial.
 func TestParallelWorkerCounts(t *testing.T) {
 	m := config.Figure2(2).WithCores(4).
-		WithHierarchy(64, config.SharedL2(128<<10, 4))
+		WithHierarchy(64, config.SharedL2(128<<10, 4)).WithPrivateHierarchy()
 	n := m.TotalContexts()
 	opts := Options{
 		Machine:               m,
@@ -122,7 +121,7 @@ func TestParallelWorkerCounts(t *testing.T) {
 // with the same accounting when the cap lands mid-window.
 func TestParallelMaxCyclesInsideRun(t *testing.T) {
 	m := config.Figure2(1).WithCores(2).
-		WithHierarchy(64, config.SharedL2(256<<10, 8))
+		WithHierarchy(64, config.SharedL2(256<<10, 8)).WithPrivateHierarchy()
 	for _, maxCycles := range []int64{500, 3_333} {
 		opts := Options{
 			Machine:               m,
@@ -144,11 +143,12 @@ func TestParallelMaxCyclesInsideRun(t *testing.T) {
 }
 
 // TestParallelIneligibleFallsBack: configurations the epoch runner must
-// decline — non-disjoint address spaces, a single core, stepped mode —
-// still run (serially) and still match their serial twins.
+// decline — non-disjoint address spaces, a single core, stepped mode, a
+// shared chain — still run (serially) and still match their serial
+// twins.
 func TestParallelIneligibleFallsBack(t *testing.T) {
 	cmp := config.Figure2(2).WithCores(2).
-		WithHierarchy(64, config.SharedL2(256<<10, 8))
+		WithHierarchy(64, config.SharedL2(256<<10, 8)).WithPrivateHierarchy()
 	cases := []struct {
 		name string
 		m    config.Machine
@@ -157,6 +157,21 @@ func TestParallelIneligibleFallsBack(t *testing.T) {
 		{"non-disjoint", cmp, func(o *Options) { o.DisjointAddressSpaces = false }},
 		{"single-core", config.Figure2(2), func(o *Options) {}},
 		{"stepped", cmp, func(o *Options) { o.Stepped = true }},
+		{"shared-chain", config.Figure2(2).WithCores(2).
+			WithHierarchy(64, config.SharedL2(256<<10, 8)), func(o *Options) {}},
+	}
+	for _, tc := range cases {
+		o := Options{DisjointAddressSpaces: true}
+		tc.mut(&o)
+		if CanParallelize(tc.m, o.DisjointAddressSpaces, o.Stepped) {
+			t.Errorf("%s: CanParallelize accepted an ineligible run", tc.name)
+		}
+	}
+	if !CanParallelize(cmp, true, false) {
+		t.Error("CanParallelize declined a private-L2 CMP")
+	}
+	if !CanParallelize(config.Figure2(2).WithCores(2), true, false) {
+		t.Error("CanParallelize declined a flat CMP")
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -178,27 +193,36 @@ func TestParallelIneligibleFallsBack(t *testing.T) {
 
 // TestParallelCancellation: cancelling the context mid-epoch aborts a
 // parallel run promptly with the context's error — the coordinator
-// polls the context between crossings, not just between epochs.
+// waits on the context alongside its workers, not just between epochs
+// (an epoch can span millions of cycles, seconds of host time).
 func TestParallelCancellation(t *testing.T) {
-	m := config.Figure2(2).WithCores(4).
-		WithHierarchy(64, config.SharedL2(64<<10, 2))
-	n := m.TotalContexts()
-	ctx, cancel := context.WithCancel(context.Background())
-	timer := time.AfterFunc(100*time.Millisecond, cancel)
-	defer timer.Stop()
-	start := time.Now()
-	_, err := Run(ctx, Options{
-		Machine:               m,
-		Sources:               mixSources(t, n, 1),
-		WarmupInsts:           0,
-		MeasureInsts:          1 << 40,
-		DisjointAddressSpaces: true,
-		Parallel:              4,
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if took := time.Since(start); took > 10*time.Second {
-		t.Fatalf("cancellation took %v; the run did not abort mid-epoch", took)
+	for _, tc := range []struct {
+		name string
+		m    config.Machine
+	}{
+		{"private", config.Figure2(2).WithCores(4).
+			WithHierarchy(64, config.SharedL2(256<<10, 8)).WithPrivateHierarchy()},
+		{"flat", config.Figure2(2).WithCores(4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			timer := time.AfterFunc(100*time.Millisecond, cancel)
+			defer timer.Stop()
+			start := time.Now()
+			_, err := Run(ctx, Options{
+				Machine:               tc.m,
+				Sources:               mixSources(t, tc.m.TotalContexts(), 1),
+				WarmupInsts:           0,
+				MeasureInsts:          1 << 40,
+				DisjointAddressSpaces: true,
+				Parallel:              4,
+			})
+			if err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("cancellation took %v; the run did not abort mid-epoch", took)
+			}
+		})
 	}
 }

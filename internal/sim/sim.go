@@ -137,13 +137,13 @@ type Options struct {
 	DisjointAddressSpaces bool
 	// Parallel, when > 1, advances the cores of a CMP run concurrently
 	// on up to Parallel worker goroutines in deterministic epochs
-	// (DESIGN.md §12). Results are bit-identical to serial execution —
-	// the epoch barrier replays every shared-level event in the serial
-	// lockstep order — so, like DisjointAddressSpaces, the knob is an
-	// execution hint and never part of a request hash. It requires the
-	// disjoint-address-space promise and a multi-core machine; runs
-	// that do not qualify (single core, trace workloads, Stepped, or a
-	// run-to-drain budget) silently take the serial path.
+	// (DESIGN.md §12). Results are bit-identical to serial execution,
+	// so, like DisjointAddressSpaces, the knob is an execution hint and
+	// never part of a request hash. It engages only where
+	// CanParallelize holds — a multi-core machine with no shared chain
+	// (the flat model or a private hierarchy) under the
+	// disjoint-address-space promise, not Stepped; other runs, and
+	// run-to-drain windows, silently take the serial path.
 	Parallel int
 	// Stepped forces cycle-by-cycle simulation, disabling the core's
 	// event-calendar fast-forward over idle stretches. Results are
@@ -235,19 +235,18 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 		cm.p.Interconnect().SetDisjointAddressSpaces(true)
 	}
 	r := newRunner(ctx, opts, mode, m)
-	if opts.Parallel > 1 && !opts.Stepped && opts.DisjointAddressSpaces {
-		if cm, ok := m.(cmpMachine); ok && cm.p.Cores() > 1 {
-			// Epoch-parallel CMP execution: bit-identical to the serial
-			// drivers (including the adaptive controller it displaces —
-			// adaptive is itself bit-identical to exact). Sampled runs
-			// parallelize their detailed phases; drains and warps stay
-			// serial.
-			er := core.NewEpochRunner(cm.p, opts.Parallel)
-			defer er.Close()
-			r.epoch = er
-			r.epochDenom = epochDenom(cm.p.Config())
-			r.step = r.epochStep
-		}
+	if cm, ok := m.(cmpMachine); ok && opts.Parallel > 1 &&
+		CanParallelize(opts.Machine, opts.DisjointAddressSpaces, opts.Stepped) {
+		// Epoch-parallel CMP execution: bit-identical to the serial
+		// drivers (including the adaptive controller it displaces —
+		// adaptive is itself bit-identical to exact). Sampled runs
+		// parallelize their detailed phases; drains and warps stay
+		// serial.
+		er := core.NewEpochRunner(cm.p, opts.Parallel)
+		defer er.Close()
+		r.epoch = er
+		r.epochDenom = epochDenom(cm.p.Config())
+		r.step = r.epochStep
 	}
 	if mode == ModeSampled {
 		return r.runSampled()
@@ -255,12 +254,12 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 	return r.runDetailed()
 }
 
-// RunOrDie is a convenience for examples and tools: it runs and panics on
-// configuration errors (which are programming errors there).
-func RunOrDie(opts Options) Result {
-	r, err := Run(context.Background(), opts)
-	if err != nil {
-		panic(fmt.Sprintf("sim: %v", err))
-	}
-	return r
+// CanParallelize reports whether a run of machine m may advance its
+// cores on several goroutines (Options.Parallel): the machine has more
+// than one core and no shared chain — every core's misses stay in its
+// own levels — the workload keeps the disjoint-address-space promise,
+// and the run is not forced to step. Both sim.Run and the runner's
+// worker budgeting decide through it.
+func CanParallelize(m config.Machine, disjoint, stepped bool) bool {
+	return disjoint && !stepped && m.CoreCount() > 1 && !m.Mem.SharedChain()
 }
