@@ -1,8 +1,8 @@
 package core_test
 
 // Core microbenchmarks: raw simulation throughput of the hot loop, with
-// and without the fast-forward scheduler, plus a steady-state allocation
-// check on Tick. CI runs these with -benchmem and compares against the
+// and without the fast-forward scheduler, a steady-state allocation
+// check on Tick, and the functional warp of sampled execution. CI runs these with -benchmem and compares against the
 // base commit with benchstat (see .github/workflows/ci.yml); run locally
 // with
 //
@@ -131,6 +131,35 @@ func BenchmarkStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Step(int64(1) << 50)
 	}
+}
+
+// warpInsts is BenchmarkWarp's per-operation warp length: one SMARTS
+// gap of a 1M-instruction sampled run is of this order.
+const warpInsts = 1_000_000
+
+// warpSeed hands every BenchmarkWarp core a seed no earlier one used,
+// so Mix generates its streams live instead of replaying interned ones.
+var warpSeed uint64 = 1 << 40
+
+// BenchmarkWarp measures the functional warp of sampled execution: a
+// drained Figure 2 4-thread core advancing warpInsts instructions of
+// live Mix streams through its predictors and caches.
+func BenchmarkWarp(b *testing.B) {
+	m := config.Figure2(4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		warpSeed++
+		c, err := core.New(m, workload.MixSources(m.Threads, workload.MixOpts{Seed: warpSeed}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if n := c.Warp(warpInsts); n != warpInsts {
+			b.Fatalf("warped %d of %d instructions", n, warpInsts)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*warpInsts), "ns/inst")
 }
 
 // TestBenchConfigsValid guards the benchmark configurations against

@@ -20,20 +20,17 @@ import (
 type Context struct {
 	// ID is the thread index.
 	ID int
-	// Source is the thread's instruction stream.
-	Source trace.Reader
-	// Exhausted marks that Source has run dry; the thread idles.
+	// Exhausted marks that the source has run dry; the thread idles.
 	Exhausted bool
 
-	// peeker is Source's zero-copy lookahead interface when it has one
-	// (interned workload streams); nil sources fall back to the pending
-	// buffer below.
-	peeker trace.Peeker
-	// pending is a one-instruction peek buffer over Source, needed to
-	// stop fetching *before* consuming a branch that would exceed the
-	// control-speculation limit.
-	pending    isa.Inst
-	hasPending bool
+	// src is the thread's instruction stream, read a chunk at a time;
+	// win holds the current chunk's unread records. Fetch and the
+	// functional warp peek at &win[0] — fetch must inspect an
+	// instruction before deciding to consume it, because the
+	// control-speculation limit stops *before* a branch — and consume by
+	// reslicing.
+	src trace.Chunker
+	win []isa.Inst
 
 	// FetchBuf holds fetched instructions awaiting dispatch. Its length
 	// is the ICOUNT fetch-policy metric.
@@ -136,7 +133,7 @@ func newContext(id int, m config.Machine, src trace.Reader) (*Context, error) {
 	}
 	c := &Context{
 		ID:                  id,
-		Source:              src,
+		src:                 trace.Chunks(src),
 		nextBranchResolveAt: Never,
 		issuedBranches:      queue.New[*DynInst](maxBr),
 		FetchBuf:            queue.New[*DynInst](m.FetchBufSize),
@@ -151,7 +148,6 @@ func newContext(id int, m config.Machine, src trace.Reader) (*Context, error) {
 	}
 	c.files[isa.AP] = c.APFile
 	c.files[isa.EP] = c.EPFile
-	c.peeker, _ = src.(trace.Peeker)
 	if err := c.Map.Init(c.APFile, c.EPFile); err != nil {
 		return nil, fmt.Errorf("thread %d: %w", id, err)
 	}
@@ -187,46 +183,31 @@ func (c *Context) release(d *DynInst) {
 	c.pool = append(c.pool, d)
 }
 
-// peekSource returns the next trace instruction without consuming it.
-// Sources with native lookahead (trace.Peeker — interned workload
-// streams) hand back a pointer into their own buffer, copy-free; others
-// go through the one-instruction pending buffer.
+// peekSource returns the next trace instruction without consuming it:
+// a pointer into the current chunk, valid until consumeSource.
 func (c *Context) peekSource() (*isa.Inst, bool) {
-	if c.peeker != nil {
-		if c.Exhausted {
-			return nil, false
-		}
-		in, ok := c.peeker.PeekNext()
-		if !ok {
-			c.Exhausted = true
-		}
-		return in, ok
+	if len(c.win) == 0 && !c.refill() {
+		return nil, false
 	}
-	if c.hasPending {
-		return &c.pending, true
-	}
+	return &c.win[0], true
+}
+
+// refill loads the source's next chunk into the window, marking the
+// context exhausted when the source has run dry.
+func (c *Context) refill() bool {
 	if c.Exhausted {
-		return nil, false
+		return false
 	}
-	if !c.Source.Next(&c.pending) {
+	c.win = c.src.NextChunk()
+	if len(c.win) == 0 {
 		c.Exhausted = true
-		return nil, false
+		return false
 	}
-	c.hasPending = true
-	return &c.pending, true
+	return true
 }
 
 // consumeSource consumes the peeked instruction.
-func (c *Context) consumeSource() {
-	if c.peeker != nil {
-		c.peeker.Consume()
-		return
-	}
-	if !c.hasPending {
-		panic("core: consumeSource without peek")
-	}
-	c.hasPending = false
-}
+func (c *Context) consumeSource() { c.win = c.win[1:] }
 
 // InFlight returns the number of instructions in the ROB (dispatched, not
 // graduated), used by tests and the drain logic.

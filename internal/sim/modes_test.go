@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -238,5 +239,44 @@ func TestModeValidation(t *testing.T) {
 	spelled.Mode = "exact"
 	if _, err := Run(context.Background(), spelled); err != nil {
 		t.Errorf("spelled-out exact mode rejected: %v", err)
+	}
+}
+
+// stuckDrain is a machine whose pipeline drain always gives up.
+type stuckDrain struct {
+	machine
+	warps int
+}
+
+func (m *stuckDrain) DrainPipeline() bool { return false }
+
+func (m *stuckDrain) Warp(n int64) int64 {
+	m.warps++
+	return m.machine.Warp(n)
+}
+
+// TestSampledFailedDrainIsAnError: a drain that hits its cycle guard
+// leaves a live pipeline, which the functional warp must never run on.
+// The sampled driver reports it instead of warping.
+func TestSampledFailedDrainIsAnError(t *testing.T) {
+	opts := Options{
+		Machine:      config.Figure2(1),
+		Sources:      mixSources(t, 1, 0),
+		WarmupInsts:  2_000,
+		MeasureInsts: 400_000,
+		Mode:         ModeSampled,
+		Sampling:     Sampling{PeriodInsts: 20_000, UnitInsts: 1_000, WarmupInsts: 2_000},
+	}
+	m, err := build(opts.Machine, opts.Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := &stuckDrain{machine: m}
+	_, err = newRunner(context.Background(), opts, ModeSampled, stuck).runSampled()
+	if err == nil || !strings.Contains(err.Error(), "did not drain") {
+		t.Fatalf("failed drain: err = %v, want a drain error", err)
+	}
+	if stuck.warps != 0 {
+		t.Fatalf("warped %d times on an undrained pipeline", stuck.warps)
 	}
 }

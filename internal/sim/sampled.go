@@ -1,6 +1,10 @@
 package sim
 
-import "repro/internal/stats"
+import (
+	"fmt"
+
+	"repro/internal/stats"
+)
 
 // The sampled execution mode, after SMARTS (Wunderlich et al., ISCA'03):
 // systematic sampling measures short detailed units at a fixed
@@ -122,7 +126,12 @@ func (r *runner) runSampled() (Result, error) {
 
 		// Gap: drain to a clean boundary, warp the remainder functionally.
 		// Instructions graduated by the drain still advance the schedule.
-		m.DrainPipeline()
+		// The warp assumes a drained machine, so a drain that gives up
+		// ends the run rather than warping a live pipeline.
+		if !m.DrainPipeline() {
+			return Result{}, fmt.Errorf("sim: sampled run: pipeline did not drain before the functional warp (cycle %d, %d instructions into the schedule)",
+				m.Now(), advanced)
+		}
 		advanced += m.Graduated() - rep.Graduated
 		if g := clamp(gap); g > 0 {
 			w := m.Warp(g)

@@ -2,6 +2,13 @@
 // feeds the simulator, together with combinators (limit, concatenation,
 // repetition) and a compact binary file format.
 //
+// A stream is read one record at a time (Reader) or a batch at a time
+// (Chunker). The simulator's fetch stage and functional warp read
+// batches: every in-memory stream — generators, interned replays, slices,
+// decoded trace files — hands out its buffered records natively, and
+// Chunks wraps any other Reader in one buffering adapter, so the core
+// has a single source path.
+//
 // The paper's methodology is trace-driven simulation: DEC Alpha binaries
 // instrumented with ATOM produce per-benchmark instruction traces which the
 // timing simulator replays. This repository replaces the proprietary traces
@@ -28,18 +35,46 @@ type Reader interface {
 	Next(inst *isa.Inst) bool
 }
 
-// Peeker is an optional Reader extension for zero-copy lookahead: the
-// core's fetch stage must inspect the next instruction before deciding
-// to consume it (control-speculation limits stop *before* a branch).
-// PeekNext returns a pointer to the next record without consuming it —
-// valid only until the next PeekNext/Consume/Next call, and read-only —
-// and Consume advances past it. Readers backed by in-memory buffers
-// (interned workload streams) implement it so the peek costs no copy;
-// everything else goes through the caller's own one-instruction buffer.
-type Peeker interface {
+// Chunker is a Reader that also yields its records in batches.
+// NextChunk returns the next unread records and consumes them; the
+// slice is read-only and valid only until the next NextChunk or Next
+// call. An empty slice means the stream is exhausted, and every later
+// call returns an empty slice too. Records come out in the same order
+// whichever method reads them, and the two may be interleaved freely.
+type Chunker interface {
 	Reader
-	PeekNext() (*isa.Inst, bool)
-	Consume()
+	NextChunk() []isa.Inst
+}
+
+// chunkLen is the batch size of the buffering adapter behind Chunks.
+const chunkLen = 64
+
+// Chunks returns r as a Chunker: r itself when it batches natively,
+// otherwise an adapter that fills a private buffer through r.Next.
+func Chunks(r Reader) Chunker {
+	if c, ok := r.(Chunker); ok {
+		return c
+	}
+	return &chunkBuffer{r: r}
+}
+
+// chunkBuffer adapts a plain Reader to Chunker.
+type chunkBuffer struct {
+	r   Reader
+	buf [chunkLen]isa.Inst
+}
+
+// Next implements Reader. Nothing is buffered between calls, so it
+// reads straight through.
+func (b *chunkBuffer) Next(inst *isa.Inst) bool { return b.r.Next(inst) }
+
+// NextChunk implements Chunker.
+func (b *chunkBuffer) NextChunk() []isa.Inst {
+	n := 0
+	for n < len(b.buf) && b.r.Next(&b.buf[n]) {
+		n++
+	}
+	return b.buf[:n]
 }
 
 // Func adapts a function to the Reader interface.
@@ -50,16 +85,28 @@ func (f Func) Next(inst *isa.Inst) bool { return f(inst) }
 
 // Slice returns a Reader that yields the given instructions in order.
 // The slice is not copied; the caller must not mutate it while reading.
-func Slice(insts []isa.Inst) Reader {
-	i := 0
-	return Func(func(out *isa.Inst) bool {
-		if i >= len(insts) {
-			return false
-		}
-		*out = insts[i]
-		i++
-		return true
-	})
+// The reader is a Chunker whose single chunk is the unread rest of the
+// slice.
+func Slice(insts []isa.Inst) Reader { return &sliceReader{rest: insts} }
+
+// sliceReader replays an in-memory slice.
+type sliceReader struct{ rest []isa.Inst }
+
+// Next implements Reader.
+func (s *sliceReader) Next(out *isa.Inst) bool {
+	if len(s.rest) == 0 {
+		return false
+	}
+	*out = s.rest[0]
+	s.rest = s.rest[1:]
+	return true
+}
+
+// NextChunk implements Chunker.
+func (s *sliceReader) NextChunk() []isa.Inst {
+	c := s.rest
+	s.rest = nil
+	return c
 }
 
 // Limit returns a Reader that yields at most n instructions from r.

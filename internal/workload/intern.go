@@ -63,15 +63,28 @@ type internedStream struct {
 	chunks    atomic.Pointer[[]*internChunk]
 
 	mu     sync.Mutex
-	gen    trace.Reader // shared generator, positioned at `published`
-	newGen func() trace.Reader
+	gen    trace.Chunker // shared generator, positioned past `published`
+	carry  []isa.Inst    // gen's chunk not yet copied, ending at gen's position
+	newGen func() trace.Chunker
 	frozen bool // budget exhausted: the stream stops growing
 }
+
+// internFirstSightings caps the keys remembered as seen once. A key
+// evicted from the set is simply a first sighting again the next time
+// it appears: that reader runs live, which yields the identical stream.
+// Without the cap a long-lived process (dae-serve answering requests
+// with ever-new seeds) would remember every key it was ever asked for.
+const internFirstSightings = 4096
 
 var (
 	internMu      sync.Mutex
 	internStreams = map[string]*internedStream{}
 	internUsed    atomic.Int64
+	// firstSeen holds the keys seen exactly once, and firstOrder the
+	// same keys oldest first, plus keys since promoted to internStreams
+	// (eviction pops those without effect).
+	firstSeen  = map[string]struct{}{}
+	firstOrder []string
 )
 
 // internFor returns the shared stream for one generator configuration,
@@ -82,93 +95,67 @@ var (
 func internFor(b Benchmark, opts ReaderOpts) *internedStream {
 	return internForKey(
 		fmt.Sprintf("%+v|off=%d|seed=%d", b, opts.AddrOffset, opts.Seed),
-		func() trace.Reader { return b.newGenerator(opts) },
+		func() trace.Chunker { return b.newGenerator(opts) },
 	)
 }
 
 // internForKey is the generic registry lookup behind internFor (and the
 // mix-level interning in mix.go): nil on first sighting, the shared
-// stream afterwards.
-func internForKey(key string, newGen func() trace.Reader) *internedStream {
+// stream afterwards. newGen builds the key's live stream.
+func internForKey(key string, newGen func() trace.Chunker) *internedStream {
 	internMu.Lock()
 	defer internMu.Unlock()
-	s, ok := internStreams[key]
-	if !ok {
-		// First sighting: remember how to regenerate, but let this
-		// reader run live.
-		internStreams[key] = &internedStream{newGen: newGen}
-		return nil
+	if s, ok := internStreams[key]; ok {
+		return s
 	}
-	return s
+	if _, ok := firstSeen[key]; ok {
+		delete(firstSeen, key)
+		s := &internedStream{newGen: newGen}
+		internStreams[key] = s
+		return s
+	}
+	// First sighting: remember the key, but let this reader run live.
+	firstSeen[key] = struct{}{}
+	firstOrder = append(firstOrder, key)
+	for len(firstSeen) > internFirstSightings {
+		delete(firstSeen, firstOrder[0])
+		firstOrder = firstOrder[1:]
+	}
+	return nil
 }
 
 // internReader replays one interned stream from the beginning. It holds
-// a window into the current chunk so the per-instruction fast path is a
-// slice read — the atomic loads and chunk lookup run once per window —
-// and implements trace.Peeker so the core's fetch stage can look ahead
-// without copying.
+// a window into the current chunk, so the per-instruction fast path is
+// a slice read (the atomic loads and chunk lookup run once per window),
+// and NextChunk hands out the window itself.
 type internReader struct {
 	s   *internedStream
 	cur []isa.Inst // unread slice of the current chunk
 	pos int64      // absolute position of cur's end
 	// live is the private fallback generator once the shared prefix is
-	// frozen and exhausted; pending buffers its one-instruction
-	// lookahead for PeekNext.
-	live        trace.Reader
-	pending     isa.Inst
-	livePending bool
+	// frozen and exhausted.
+	live trace.Chunker
 }
 
 // Next implements trace.Reader; the stream is infinite.
 func (r *internReader) Next(out *isa.Inst) bool {
-	if len(r.cur) > 0 {
-		*out = r.cur[0]
-		r.cur = r.cur[1:]
-		return true
+	if len(r.cur) == 0 && (r.live != nil || !r.refresh()) {
+		return r.live.Next(out)
 	}
-	if r.live == nil && r.refresh() {
-		*out = r.cur[0]
-		r.cur = r.cur[1:]
-		return true
-	}
-	if r.livePending {
-		*out = r.pending
-		r.livePending = false
-		return true
-	}
-	return r.live.Next(out)
+	*out = r.cur[0]
+	r.cur = r.cur[1:]
+	return true
 }
 
-// PeekNext implements trace.Peeker: a zero-copy pointer into the shared
-// buffer (or the fallback generator's one-instruction lookahead), valid
-// until the next Consume/Next.
-func (r *internReader) PeekNext() (*isa.Inst, bool) {
-	if len(r.cur) > 0 {
-		return &r.cur[0], true
+// NextChunk implements trace.Chunker: the unread window of the shared
+// buffer, or the fallback generator's chunk.
+func (r *internReader) NextChunk() []isa.Inst {
+	if len(r.cur) == 0 && (r.live != nil || !r.refresh()) {
+		return r.live.NextChunk()
 	}
-	if r.live == nil && r.refresh() {
-		return &r.cur[0], true
-	}
-	if !r.livePending {
-		if !r.live.Next(&r.pending) {
-			return nil, false
-		}
-		r.livePending = true
-	}
-	return &r.pending, true
-}
-
-// Consume implements trace.Peeker.
-func (r *internReader) Consume() {
-	if len(r.cur) > 0 {
-		r.cur = r.cur[1:]
-		return
-	}
-	if r.livePending {
-		r.livePending = false
-		return
-	}
-	panic("workload: Consume without a successful PeekNext")
+	c := r.cur
+	r.cur = nil
+	return c
 }
 
 // refresh loads the next window into r.cur, growing the shared stream
@@ -219,12 +206,17 @@ func (s *internedStream) extend(pos int64) bool {
 		if internUsed.Add(internChunkBytes) > InternBudgetBytes {
 			internUsed.Add(-internChunkBytes)
 			s.frozen = true
-			s.gen = nil // release the shared generator
+			s.gen, s.carry = nil, nil // release the shared generator
 			return false
 		}
 		ch := new(internChunk)
-		for i := range ch {
-			s.gen.Next(&ch[i])
+		for i := 0; i < len(ch); {
+			if len(s.carry) == 0 {
+				s.carry = s.gen.NextChunk() // generators never run dry
+			}
+			k := copy(ch[i:], s.carry)
+			s.carry = s.carry[k:]
+			i += k
 		}
 		old := s.chunks.Load()
 		var grown []*internChunk
@@ -241,9 +233,10 @@ func (s *internedStream) extend(pos int64) bool {
 
 const internChunkBytes = internChunkLen * int64(unsafe.Sizeof(isa.Inst{}))
 
-// internStats reports the interner's footprint (tests only).
-func internStats() (streams int, bytes int64) {
+// internStats reports the interner's footprint (tests only): keys seen
+// once, shared streams, and bytes held.
+func internStats() (firstSightings, shared int, bytes int64) {
 	internMu.Lock()
 	defer internMu.Unlock()
-	return len(internStreams), internUsed.Load()
+	return len(firstSeen), len(internStreams), internUsed.Load()
 }

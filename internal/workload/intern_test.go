@@ -90,7 +90,7 @@ func TestInternBudgetFallback(t *testing.T) {
 	want := readN(t, b.NewReader(opts), n) // first sighting: live
 
 	// Allow one more chunk than currently used, then freeze.
-	_, used := internStats()
+	_, _, used := internStats()
 	InternBudgetBytes = used + internChunkBytes
 	r := b.NewReader(opts)
 	if _, ok := r.(*internReader); !ok {
@@ -171,5 +171,32 @@ func TestInternDisabled(t *testing.T) {
 	}
 	if _, ok := b.NewReader(ReaderOpts{}).(*internReader); ok {
 		t.Fatal("interning not disabled by a zero budget")
+	}
+}
+
+// TestInternFirstSightingsBounded: a long-lived process asking for
+// ever-new streams (dae-serve requests with unseen seeds) must not
+// remember every key it saw once, and a key asked for twice in a row is
+// still replayed from a shared buffer.
+func TestInternFirstSightingsBounded(t *testing.T) {
+	const calls = 10_000
+	for i := 0; i < calls; i++ {
+		Mix(i%4, MixOpts{Seed: 0xF125_0000 + uint64(i)})
+	}
+	if first, _, _ := internStats(); first > internFirstSightings {
+		t.Fatalf("%d first-sighting keys after %d distinct streams, cap %d", first, calls, internFirstSightings)
+	}
+
+	opts := MixOpts{Seed: 0xF125_FFFF}
+	want := readN(t, Mix(1, opts), 2*internChunkLen) // first sighting: live
+	r := Mix(1, opts)
+	if _, ok := r.(*internReader); !ok {
+		t.Fatal("a key seen twice in a row was not replayed")
+	}
+	got := readN(t, r, len(want))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("replayed record %d differs from the live stream", i)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -62,7 +63,7 @@ func Mix(threadID int, opts MixOpts) trace.Reader {
 	}
 	if InternBudgetBytes > 0 {
 		key := fmt.Sprintf("mix|t=%d|seg=%d|seed=%d", threadID, opts.SegmentLen, opts.Seed)
-		if s := internForKey(key, func() trace.Reader { return newMixReader(threadID, opts) }); s != nil {
+		if s := internForKey(key, func() trace.Chunker { return newMixReader(threadID, opts) }); s != nil {
 			return &internReader{s: s}
 		}
 	}
@@ -70,20 +71,31 @@ func Mix(threadID int, opts MixOpts) trace.Reader {
 }
 
 // newMixReader builds the live segment-rotating reader behind Mix.
-func newMixReader(threadID int, opts MixOpts) trace.Reader {
+func newMixReader(threadID int, opts MixOpts) *mixReader {
 	segLen := opts.SegmentLen
 	if segLen <= 0 {
 		segLen = DefaultSegmentLen
 	}
-	benches := builtins()
+	progs := builtinPrograms()
 	return &mixReader{
-		benches:  benches,
-		next:     threadID % len(benches),
+		progs:    progs,
+		next:     threadID % len(progs),
 		segLen:   segLen,
 		addrOff:  ThreadAddrOffset(threadID),
 		seedBase: opts.Seed ^ (uint64(threadID)*0x9e3779b97f4a7c15 + 1),
 	}
 }
+
+// builtinPrograms is the built-in benchmark set compiled once for every
+// Mix segment.
+var builtinPrograms = sync.OnceValue(func() []*program {
+	bs := builtins()
+	progs := make([]*program, len(bs))
+	for i, b := range bs {
+		progs[i] = b.compile()
+	}
+	return progs
+})
 
 // MixSources builds one Mix reader per thread, rotated per the paper.
 func MixSources(threads int, opts MixOpts) []trace.Reader {
@@ -95,38 +107,52 @@ func MixSources(threads int, opts MixOpts) []trace.Reader {
 }
 
 type mixReader struct {
-	benches  []Benchmark
+	progs    []*program
 	next     int
 	segLen   int64
 	addrOff  uint64
 	seedBase uint64
 
-	cur       trace.Reader
+	cur       *generator
 	remaining int64
 	segment   uint64 // segments completed, perturbs per-segment seeds
 }
 
+// rotate starts the next segment once the current one is spent.
+// Segments generate live (a program's generator, not NewReader): mix
+// streams are interned as a whole, so interning the segments too would
+// only double-buffer the same instructions.
+func (m *mixReader) rotate() {
+	if m.remaining > 0 {
+		return
+	}
+	p := m.progs[m.next]
+	m.next = (m.next + 1) % len(m.progs)
+	m.cur = p.newGenerator(ReaderOpts{
+		AddrOffset: m.addrOff,
+		Seed:       m.seedBase + m.segment,
+	})
+	m.remaining = m.segLen
+	m.segment++
+}
+
 // Next implements trace.Reader; the stream never ends.
 func (m *mixReader) Next(out *isa.Inst) bool {
-	for m.cur == nil || m.remaining <= 0 {
-		b := m.benches[m.next]
-		m.next = (m.next + 1) % len(m.benches)
-		// Segments generate live (newGenerator, not NewReader): mix
-		// streams are interned as a whole, so interning the segments too
-		// would only double-buffer the same instructions.
-		m.cur = b.newGenerator(ReaderOpts{
-			AddrOffset: m.addrOff,
-			Seed:       m.seedBase + m.segment,
-		})
-		m.remaining = m.segLen
-		m.segment++
-	}
-	if !m.cur.Next(out) {
-		// Benchmark readers are infinite; treat a dry reader defensively
-		// by rotating to the next segment.
-		m.remaining = 0
-		return m.Next(out)
-	}
+	m.rotate()
+	m.cur.Next(out)
 	m.remaining--
 	return true
+}
+
+// NextChunk implements trace.Chunker: the segment generator's chunk,
+// trimmed at the segment boundary (the generator is dropped there, so
+// the trimmed records are never read).
+func (m *mixReader) NextChunk() []isa.Inst {
+	m.rotate()
+	c := m.cur.NextChunk()
+	if int64(len(c)) > m.remaining {
+		c = c[:m.remaining]
+	}
+	m.remaining -= int64(len(c))
+	return c
 }

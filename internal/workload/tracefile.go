@@ -150,18 +150,44 @@ func shiftedSlice(insts []isa.Inst, delta uint64) trace.Reader {
 	if delta == 0 {
 		return trace.Slice(insts)
 	}
-	i := 0
-	return trace.Func(func(out *isa.Inst) bool {
-		if i >= len(insts) {
-			return false
+	return &shiftedReader{rest: insts, delta: delta}
+}
+
+// shiftedChunkLen is the batch size of a relocated replay.
+const shiftedChunkLen = 256
+
+// shiftedReader is the relocated replay behind shiftedSlice. Chunks are
+// relocated copies in a private buffer; the shared decode is never
+// written.
+type shiftedReader struct {
+	rest  []isa.Inst
+	delta uint64
+	buf   [shiftedChunkLen]isa.Inst
+}
+
+// Next implements trace.Reader.
+func (r *shiftedReader) Next(out *isa.Inst) bool {
+	if len(r.rest) == 0 {
+		return false
+	}
+	*out = r.rest[0]
+	r.rest = r.rest[1:]
+	if out.IsMem() {
+		out.Addr += r.delta
+	}
+	return true
+}
+
+// NextChunk implements trace.Chunker.
+func (r *shiftedReader) NextChunk() []isa.Inst {
+	c := r.buf[:copy(r.buf[:], r.rest)]
+	r.rest = r.rest[len(c):]
+	for i := range c {
+		if c[i].IsMem() {
+			c[i].Addr += r.delta
 		}
-		*out = insts[i]
-		i++
-		if out.IsMem() {
-			out.Addr += delta
-		}
-		return true
-	})
+	}
+	return c
 }
 
 // TraceSources builds one finite reader per hardware context from a

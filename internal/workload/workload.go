@@ -208,42 +208,92 @@ func (b Benchmark) NewReader(opts ReaderOpts) trace.Reader {
 }
 
 // newGenerator builds the underlying streaming kernel interpreter.
-func (b Benchmark) newGenerator(opts ReaderOpts) trace.Reader {
-	g := &generator{
-		bench: b,
-		rng:   rng.New(b.Seed ^ (opts.Seed * 0x9e3779b97f4a7c15)),
-		off:   opts.AddrOffset,
-	}
-	g.streamPos = make([]uint64, len(b.Streams))
-	g.streamUse = make([]int, len(b.Streams))
-	return g
+func (b Benchmark) newGenerator(opts ReaderOpts) *generator {
+	return b.compile().newGenerator(opts)
 }
 
-// generator is the streaming kernel interpreter.
-type generator struct {
-	bench Benchmark
-	rng   *rng.Source
-	off   uint64
-
-	streamPos []uint64 // per-stream byte position
-	streamUse []int    // accesses made at the current position (reuse)
-
-	kernel    int // current kernel index
-	kernIters int // iterations completed in the current kernel run
-	iter      int // absolute iteration number within the kernel (for trips)
-
-	buf  []isa.Inst // instructions of the current iteration
-	next int        // read cursor into buf
+// program is a benchmark compiled for streaming: each kernel's
+// iteration variants as static instruction templates, and each stream's
+// address geometry. A program is immutable and shared by every
+// generator of its benchmark (Mix compiles the built-in set once, not
+// once per segment).
+type program struct {
+	seed    uint64 // the benchmark's base seed
+	streams []streamGeom
+	kernels []kernelProg
 }
 
-// Next implements trace.Reader. The stream is infinite.
-func (g *generator) Next(out *isa.Inst) bool {
-	for g.next >= len(g.buf) {
-		g.emitIteration()
+// streamGeom is one array stream's address geometry.
+type streamGeom struct {
+	// base is the stream's region: distinct 256 MB regions per stream
+	// keep streams apart in memory, and a per-stream index skew spreads
+	// small (cache-resident) streams across different L1 sets — without
+	// it every stream would start at set 0 and resident streams would
+	// thrash each other in the direct-mapped cache.
+	base         uint64
+	stride, size uint64
+	reuse        int
+}
+
+// kernelProg is one compiled kernel.
+type kernelProg struct {
+	weight, trip       int
+	intEvery, lodEvery int
+	lodProb            float64
+	// variants holds one template per iteration variant, indexed
+	// [intLoad][lod]: intLoad is 0 when the iteration has no integer
+	// load, else 1 + its rotating destination (0 or 1); lod is 1 when
+	// the loss-of-decoupling block is live.
+	variants [3][2]template
+}
+
+// template is one iteration variant's instructions with the dynamic
+// fields left to patch: every memory slot's address (in emission
+// order, which is the order the streams advance in), the LoD branch's
+// outcome, and the closing branch's outcome (always the last slot).
+type template struct {
+	insts []isa.Inst
+	addrs []addrPatch
+	lod   int // slot of the LoD branch, -1 when the block is absent
+}
+
+// addrPatch names a memory slot and the stream its address comes from.
+type addrPatch struct{ slot, stream int32 }
+
+// compile builds the benchmark's program. b must be valid.
+func (b Benchmark) compile() *program {
+	p := &program{
+		seed:    b.Seed,
+		streams: make([]streamGeom, len(b.Streams)),
+		kernels: make([]kernelProg, len(b.Kernels)),
 	}
-	*out = g.buf[g.next]
-	g.next++
-	return true
+	for i, s := range b.Streams {
+		p.streams[i] = streamGeom{
+			base:   uint64(i+1)<<28 + uint64(i)*0x5340,
+			stride: uint64(s.StrideBytes),
+			size:   uint64(s.SizeBytes),
+			reuse:  s.reuse(),
+		}
+	}
+	for ki := range b.Kernels {
+		k := &b.Kernels[ki]
+		kp := &p.kernels[ki]
+		*kp = kernelProg{
+			weight: k.Weight, trip: k.InnerTrip,
+			intEvery: k.IntLoad.Every, lodEvery: k.LODEvery,
+			lodProb: k.LODTakenProb,
+		}
+		// Stable code layout: per-benchmark base (derived from the seed)
+		// plus per-kernel spacing, chosen to avoid systematic BHT
+		// aliasing between kernels and benchmarks.
+		pcBase := (b.Seed&0xF)*0x1100 + 0x1000 + uint64(ki)*0x84c
+		for intLoad := range kp.variants {
+			for lod := range kp.variants[intLoad] {
+				kp.variants[intLoad][lod] = compileIteration(k, pcBase, intLoad, lod == 1)
+			}
+		}
+	}
+	return p
 }
 
 // Register conventions (architectural, per kernel iteration):
@@ -255,7 +305,7 @@ func (g *generator) Next(out *isa.Inst) bool {
 //	r20,r21  integer scratch
 //	f0..f7   accumulator chains
 //	f8..f15  FP load temporaries (rotating)
-//	f18      LOD compare temporary
+//	f16      LOD compare temporary
 const (
 	regStreamBase = 1  // r1..r10
 	regIdxA       = 13 // rotating int-load destinations
@@ -269,24 +319,22 @@ const (
 	fpLODTemp     = 16 // f16
 )
 
-// emitIteration refills g.buf with one inner-loop iteration of the
-// current kernel, assigning stable PCs per static slot.
-func (g *generator) emitIteration() {
-	k := &g.bench.Kernels[g.kernel]
-	g.buf = g.buf[:0]
-	g.next = 0
-
-	// Stable code layout: per-benchmark base (derived from the seed) plus
-	// per-kernel spacing, chosen to avoid systematic BHT aliasing between
-	// kernels and benchmarks.
-	pcBase := (g.bench.Seed&0xF)*0x1100 + 0x1000 + uint64(g.kernel)*0x84c
+// compileIteration builds the template of one iteration variant of
+// kernel k, assigning stable PCs per static slot (suppressed blocks keep
+// their reserved slots).
+func compileIteration(k *Kernel, pcBase uint64, intLoad int, lodLive bool) template {
+	t := template{lod: -1}
 	slot := 0
 	pc := func() uint64 {
 		p := pcBase + uint64(slot)*4
 		slot++
 		return p
 	}
-	emit := func(in isa.Inst) { g.buf = append(g.buf, in) }
+	emit := func(in isa.Inst) { t.insts = append(t.insts, in) }
+	emitMem := func(in isa.Inst, stream int) {
+		t.addrs = append(t.addrs, addrPatch{slot: int32(len(t.insts)), stream: int32(stream)})
+		emit(in)
+	}
 	skip := func(n int) { slot += n } // reserve slots of a suppressed block
 
 	intReg := func(n int) isa.Reg { return isa.IntReg(n) }
@@ -301,16 +349,17 @@ func (g *generator) emitIteration() {
 		emit(isa.Inst{PC: pc(), Op: isa.OpIntALU, Dest: intReg(d), Src1: intReg(d), Src2: intReg(regCounter)})
 	}
 
-	// 2. Integer load (index/gather) in its reserved slot.
-	idxDest := regIdxA + (g.iter % 2) // rotate destinations across iterations
-	intLoadLive := k.IntLoad.Every > 0 && g.iter%k.IntLoad.Every == 0
+	// 2. Integer load (index/gather) in its reserved slot, its
+	// destination rotating across iterations.
+	intLoadLive := intLoad > 0
+	idxDest := regIdxA + max(0, intLoad-1)
 	if intLoadLive {
-		emit(isa.Inst{
+		emitMem(isa.Inst{
 			PC: pc(), Op: isa.OpLoad,
 			Dest: intReg(idxDest),
 			Src1: intReg(regStreamBase + k.IntLoad.Stream), Src2: isa.NoReg,
-			Addr: g.advance(k.IntLoad.Stream), Size: 8,
-		})
+			Size: 8,
+		}, k.IntLoad.Stream)
 	} else {
 		skip(1)
 	}
@@ -334,12 +383,12 @@ func (g *generator) emitIteration() {
 		if i == 0 && intLoadLive && k.IntLoad.Feeds {
 			src = intReg(idxDest)
 		}
-		emit(isa.Inst{
+		emitMem(isa.Inst{
 			PC: pc(), Op: isa.OpLoad,
 			Dest: fpReg(fpTempBase + i),
 			Src1: src, Src2: isa.NoReg,
-			Addr: g.advance(s), Size: 8,
-		})
+			Size: 8,
+		}, s)
 	}
 
 	// 4. FP computation: round-robin the ops over the accumulator chains,
@@ -356,66 +405,140 @@ func (g *generator) emitIteration() {
 	// 5. Stores of chain results.
 	for i, s := range k.Stores {
 		chain := fpChainBase + i%max(1, k.FPChains)
-		emit(isa.Inst{
+		emitMem(isa.Inst{
 			PC: pc(), Op: isa.OpStore, Dest: isa.NoReg,
 			Src1: fpReg(chain), Src2: intReg(regStreamBase + s),
-			Addr: g.advance(s), Size: 8,
-		})
+			Size: 8,
+		}, s)
 	}
 
 	// 6. Loss-of-decoupling block in reserved slots: FP compare, FP→int
 	// move (the AP instruction that must wait for the EP), and a
 	// data-dependent branch.
 	if k.LODEvery > 0 {
-		if g.iter%k.LODEvery == k.LODEvery-1 {
+		if lodLive {
 			c0 := fpReg(fpChainBase)
 			c1 := fpReg(fpChainBase + k.FPChains/2)
 			emit(isa.Inst{PC: pc(), Op: isa.OpFPALU, Dest: fpReg(fpLODTemp), Src1: c0, Src2: c1})
 			emit(isa.Inst{PC: pc(), Op: isa.OpIntALU, Dest: intReg(regLODCC), Src1: fpReg(fpLODTemp), Src2: isa.NoReg})
-			emit(isa.Inst{PC: pc(), Op: isa.OpBranch, Dest: isa.NoReg, Src1: intReg(regLODCC), Src2: isa.NoReg, Taken: g.rng.Bool(k.LODTakenProb)})
+			t.lod = len(t.insts)
+			emit(isa.Inst{PC: pc(), Op: isa.OpBranch, Dest: isa.NoReg, Src1: intReg(regLODCC), Src2: isa.NoReg})
 		} else {
 			skip(3)
 		}
 	}
 
-	// 7. Inner-loop closing branch: taken except on loop exit.
-	taken := g.iter%k.InnerTrip != k.InnerTrip-1
-	emit(isa.Inst{PC: pc(), Op: isa.OpBranch, Dest: isa.NoReg, Src1: intReg(regCounter), Src2: isa.NoReg, Taken: taken})
+	// 7. Inner-loop closing branch, its outcome patched per iteration.
+	emit(isa.Inst{PC: pc(), Op: isa.OpBranch, Dest: isa.NoReg, Src1: intReg(regCounter), Src2: isa.NoReg})
+	return t
+}
+
+// newGenerator starts a stream of the program.
+func (p *program) newGenerator(opts ReaderOpts) *generator {
+	return &generator{
+		prog:   p,
+		rng:    rng.New(p.seed ^ (opts.Seed * 0x9e3779b97f4a7c15)),
+		off:    opts.AddrOffset,
+		stream: make([]streamState, len(p.streams)),
+	}
+}
+
+// generator is the streaming kernel interpreter: it runs a compiled
+// program one iteration at a time.
+type generator struct {
+	prog *program
+	rng  *rng.Source
+	off  uint64
+
+	stream []streamState
+
+	kernel    int // current kernel index
+	kernIters int // iterations completed in the current kernel run
+	iter      int // absolute iteration number within the kernel (for trips)
+
+	buf  []isa.Inst // instructions of the current iteration
+	next int        // read cursor into buf
+}
+
+// streamState is one stream's cursor.
+type streamState struct {
+	pos uint64 // byte position within the stream
+	use int    // accesses made at the current position (reuse)
+}
+
+// Next implements trace.Reader. The stream is infinite.
+func (g *generator) Next(out *isa.Inst) bool {
+	if g.next >= len(g.buf) {
+		g.emitIteration()
+	}
+	*out = g.buf[g.next]
+	g.next++
+	return true
+}
+
+// NextChunk implements trace.Chunker: the unread rest of the current
+// iteration. The stream is infinite, so the chunk is never empty.
+func (g *generator) NextChunk() []isa.Inst {
+	if g.next >= len(g.buf) {
+		g.emitIteration()
+	}
+	c := g.buf[g.next:]
+	g.next = len(g.buf)
+	return c
+}
+
+// emitIteration refills g.buf with one inner-loop iteration of the
+// current kernel: a copy of the variant's template with its addresses
+// and branch outcomes patched in.
+func (g *generator) emitIteration() {
+	k := &g.prog.kernels[g.kernel]
+	intLoad, lod := 0, 0
+	if k.intEvery > 0 && g.iter%k.intEvery == 0 {
+		intLoad = 1 + g.iter%2
+	}
+	if k.lodEvery > 0 && g.iter%k.lodEvery == k.lodEvery-1 {
+		lod = 1
+	}
+	t := &k.variants[intLoad][lod]
+
+	g.buf = append(g.buf[:0], t.insts...)
+	g.next = 0
+	for _, p := range t.addrs {
+		g.buf[p.slot].Addr = g.advance(int(p.stream))
+	}
+	if t.lod >= 0 {
+		g.buf[t.lod].Taken = g.rng.Bool(k.lodProb)
+	}
+	// Inner-loop closing branch: taken except on loop exit.
+	g.buf[len(g.buf)-1].Taken = g.iter%k.trip != k.trip-1
 
 	// Advance kernel rotation state.
 	g.iter++
 	g.kernIters++
-	if g.kernIters >= k.Weight && len(g.bench.Kernels) > 1 {
+	if g.kernIters >= k.weight && len(g.prog.kernels) > 1 {
 		g.kernIters = 0
 		g.iter = 0
-		g.kernel = (g.kernel + 1) % len(g.bench.Kernels)
+		g.kernel = (g.kernel + 1) % len(g.prog.kernels)
 	}
 }
 
 // advance returns the current address of the stream and steps it after
 // the stream's reuse count is exhausted (stencil-style temporal reuse).
+// The position stays below the stream size and the stride does not
+// exceed it (Validate), so one subtraction wraps it.
 func (g *generator) advance(stream int) uint64 {
-	s := &g.bench.Streams[stream]
-	pos := g.streamPos[stream]
-	g.streamUse[stream]++
-	if g.streamUse[stream] >= s.reuse() {
-		g.streamUse[stream] = 0
-		g.streamPos[stream] = (pos + uint64(s.StrideBytes)) % uint64(s.SizeBytes)
+	s := &g.prog.streams[stream]
+	st := &g.stream[stream]
+	pos := st.pos
+	st.use++
+	if st.use >= s.reuse {
+		st.use = 0
+		st.pos += s.stride
+		if st.pos >= s.size {
+			st.pos -= s.size
+		}
 	}
-	// Distinct 256 MB regions per stream keep streams apart in memory,
-	// and a per-stream index skew spreads small (cache-resident) streams
-	// across different L1 sets — without it every stream would start at
-	// set 0 and resident streams would thrash each other in the
-	// direct-mapped cache.
-	base := uint64(stream+1)<<28 + uint64(stream)*0x5340
-	return g.off + base + pos
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return g.off + s.base + pos
 }
 
 // InstsPerIteration returns the fixed slot count of one iteration of the

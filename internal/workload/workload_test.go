@@ -350,9 +350,12 @@ func TestMixNegativeThreadPanics(t *testing.T) {
 	Mix(-1, MixOpts{})
 }
 
+// BenchmarkGenerator measures live generation per instruction. It
+// reads the generator directly: NewReader would intern the stream from
+// the benchmark's second invocation on and time the replay instead.
 func BenchmarkGenerator(b *testing.B) {
 	bench, _ := ByName("swim")
-	r := bench.NewReader(ReaderOpts{})
+	r := bench.newGenerator(ReaderOpts{})
 	var in isa.Inst
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
