@@ -194,7 +194,7 @@ func benchAblation(b *testing.B, run func(experiments.Budget) (*experiments.Abla
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	const insts = 400_000
 	for i := 0; i < b.N; i++ {
-		rep, err := RunMix(Figure2(4), RunOpts{WarmupInsts: 1, MeasureInsts: insts})
+		rep, err := runRequest(MixRequest(Figure2(4), RunOpts{WarmupInsts: 1, MeasureInsts: insts}))
 		if err != nil {
 			b.Fatal(err)
 		}

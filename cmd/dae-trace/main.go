@@ -5,6 +5,7 @@
 //
 //	dae-trace export -bench swim -t 4 -n 1000000 -o swim.dct  # multi-stream container
 //	dae-trace import -i ext.txt -format text -o ext.dct       # ingest an external trace
+//	dae-trace import -i a.trace,b.trace -o ab.dct             # one stream per file, in order
 //	dae-trace gen -bench swim -n 1000000 -o swim.trace        # legacy single-stream file
 //	dae-trace dump -i swim.dct -n 20                          # print records
 //	dae-trace stat -i swim.dct                                # mix/footprint summary
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -62,7 +64,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: dae-trace <export|import|gen|dump|stat|list> [flags]
   export -bench NAME -o FILE [-t CONTEXTS] [-n PER-STREAM] [-seed S] [-note TEXT]
-  import -i FILE|- -o FILE [-format auto|container|legacy|bin|text] [-name N] [-note TEXT]
+  import -i FILE[,FILE...]|- -o FILE [-format auto|container|legacy|bin|text] [-name N] [-note TEXT]
   gen    -bench NAME -n COUNT -o FILE [-seed S] [-offset A]
   dump   -i FILE|- [-n COUNT] [-format F]
   stat   (-i FILE|- | -bench NAME -n COUNT) [-seed S] [-format F]
@@ -206,25 +208,48 @@ func cmdExport(args []string) error {
 	return nil
 }
 
-// cmdImport ingests a trace in any accepted format and writes it as a
-// container, validating every record on the way in.
+// decodeInputs decodes each input in order and concatenates their
+// streams, so N single-stream files become N streams; the header (name,
+// note) is the first input's.
+func decodeInputs(paths []string, format string) (traceio.Header, [][]isa.Inst, error) {
+	var (
+		h   traceio.Header
+		all [][]isa.Inst
+	)
+	for i, p := range paths {
+		r, done, err := openInput(p)
+		if err != nil {
+			return traceio.Header{}, nil, err
+		}
+		ph, streams, err := decodeStreams(r, format)
+		done()
+		if err != nil {
+			return traceio.Header{}, nil, fmt.Errorf("%s: %w", p, err)
+		}
+		if i == 0 {
+			h = ph
+		}
+		all = append(all, streams...)
+	}
+	return h, all, nil
+}
+
+// cmdImport ingests one or more traces in any accepted format and writes
+// them as one container, validating every record on the way in. A
+// container with exactly one stream per context replays verbatim, so
+// importing one legacy file per thread is how `dae-sim -trace` runs them.
 func cmdImport(args []string) error {
 	fs := flag.NewFlagSet("import", flag.ExitOnError)
-	in := fs.String("i", "-", "input trace file (- reads stdin)")
+	in := fs.String("i", "-", "input trace file, or a comma-separated list whose streams are written in order (- reads stdin)")
 	out := fs.String("o", "", "output container file")
 	format := fs.String("format", "auto", "input format (auto, container, legacy, bin, text)")
-	name := fs.String("name", "", "container display name (default: the input's, if any)")
-	note := fs.String("note", "", "provenance note (default: the input's, if any)")
+	name := fs.String("name", "", "container display name (default: the first input's, if any)")
+	note := fs.String("note", "", "provenance note (default: the first input's, if any)")
 	fs.Parse(args)
 	if *out == "" {
 		return fmt.Errorf("import requires -o")
 	}
-	r, done, err := openInput(*in)
-	if err != nil {
-		return err
-	}
-	defer done()
-	h, streams, err := decodeStreams(r, *format)
+	h, streams, err := decodeInputs(strings.Split(*in, ","), *format)
 	if err != nil {
 		return err
 	}

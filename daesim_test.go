@@ -1,12 +1,22 @@
 package daesim
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func quickOpts() RunOpts {
 	return RunOpts{WarmupInsts: 10_000, MeasureInsts: 50_000}
+}
+
+// runRequest executes a Request once, uncached: the Engine's validation
+// and simulation without its cache, deduplication or worker semaphore.
+func runRequest(req Request) (Report, error) {
+	if err := req.Validate(); err != nil {
+		return Report{}, err
+	}
+	return req.Normalized().job().Execute(context.Background(), nil, 0)
 }
 
 func TestBenchmarksList(t *testing.T) {
@@ -25,7 +35,7 @@ func TestBenchmarksList(t *testing.T) {
 }
 
 func TestRunBenchmarkQuick(t *testing.T) {
-	rep, err := RunBenchmark("tomcatv", Figure2(1), quickOpts())
+	rep, err := runRequest(BenchmarkRequest("tomcatv", Figure2(1), quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +48,7 @@ func TestRunBenchmarkQuick(t *testing.T) {
 }
 
 func TestRunMixQuick(t *testing.T) {
-	rep, err := RunMix(Figure2(2), quickOpts())
+	rep, err := runRequest(MixRequest(Figure2(2), quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +64,11 @@ func TestDecouplingWinsOnMix(t *testing.T) {
 	// The paper's headline: at a given thread count, decoupling beats the
 	// non-decoupled machine, and the gap widens with L2 latency.
 	m := Figure2(2).WithL2Latency(64)
-	dec, err := RunMix(m, quickOpts())
+	dec, err := runRequest(MixRequest(m, quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	non, err := RunMix(m.NonDecoupled(), quickOpts())
+	non, err := runRequest(MixRequest(m.NonDecoupled(), quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +88,11 @@ func TestRunCustomBenchmark(t *testing.T) {
 	}
 	b.Name = "mgrid-variant"
 	b.Kernels[0].FPChains = 2 // serial chains: should lower IPC
-	variant, err := RunCustom(b, Figure2(1), quickOpts())
+	variant, err := runRequest(CustomRequest(b, Figure2(1), quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, err := RunBenchmark("mgrid", Figure2(1), quickOpts())
+	orig, err := runRequest(BenchmarkRequest("mgrid", Figure2(1), quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,23 +103,23 @@ func TestRunCustomBenchmark(t *testing.T) {
 
 func TestRunCustomRejectsInvalid(t *testing.T) {
 	var b Benchmark // zero value: invalid
-	if _, err := RunCustom(b, Figure2(1), quickOpts()); err == nil {
+	if _, err := runRequest(CustomRequest(b, Figure2(1), quickOpts())); err == nil {
 		t.Fatal("invalid benchmark accepted")
 	}
 }
 
 func TestSeedsPerturbRuns(t *testing.T) {
-	a, err := RunBenchmark("fpppp", Figure2(1), RunOpts{WarmupInsts: 5_000, MeasureInsts: 30_000, Seed: 1})
+	a, err := runRequest(BenchmarkRequest("fpppp", Figure2(1), RunOpts{WarmupInsts: 5_000, MeasureInsts: 30_000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunBenchmark("fpppp", Figure2(1), RunOpts{WarmupInsts: 5_000, MeasureInsts: 30_000, Seed: 2})
+	b, err := runRequest(BenchmarkRequest("fpppp", Figure2(1), RunOpts{WarmupInsts: 5_000, MeasureInsts: 30_000, Seed: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// fpppp's data-dependent branches make different seeds measurably
 	// different, while the same seed is bit-identical.
-	c, err := RunBenchmark("fpppp", Figure2(1), RunOpts{WarmupInsts: 5_000, MeasureInsts: 30_000, Seed: 1})
+	c, err := runRequest(BenchmarkRequest("fpppp", Figure2(1), RunOpts{WarmupInsts: 5_000, MeasureInsts: 30_000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +133,7 @@ func TestSeedsPerturbRuns(t *testing.T) {
 
 func TestSection2Preset(t *testing.T) {
 	m := Section2().WithL2Latency(128)
-	rep, err := RunBenchmark("applu", m, quickOpts())
+	rep, err := runRequest(BenchmarkRequest("applu", m, quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +149,7 @@ func TestSection2Preset(t *testing.T) {
 func TestFetchPolicyKnob(t *testing.T) {
 	m := Figure2(3)
 	m.FetchPolicy = FetchRoundRobin
-	rep, err := RunMix(m, quickOpts())
+	rep, err := runRequest(MixRequest(m, quickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +160,7 @@ func TestFetchPolicyKnob(t *testing.T) {
 
 func TestCycleCapSurfacesError(t *testing.T) {
 	m := Figure2(1)
-	_, err := RunMix(m, RunOpts{MeasureInsts: 1 << 40, MaxCycles: 1_000})
+	_, err := runRequest(MixRequest(m, RunOpts{MeasureInsts: 1 << 40, MaxCycles: 1_000}))
 	if err == nil {
 		t.Fatal("cycle cap not reported")
 	}
@@ -163,11 +173,11 @@ func TestBudgetConvergence(t *testing.T) {
 	// Methodology check: doubling the measurement budget moves the mix
 	// IPC by only a few percent — the default windows sample steady
 	// state, not a transient.
-	small, err := RunMix(Figure2(2), RunOpts{WarmupInsts: 100_000, MeasureInsts: 600_000})
+	small, err := runRequest(MixRequest(Figure2(2), RunOpts{WarmupInsts: 100_000, MeasureInsts: 600_000}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := RunMix(Figure2(2), RunOpts{WarmupInsts: 100_000, MeasureInsts: 1_200_000})
+	large, err := runRequest(MixRequest(Figure2(2), RunOpts{WarmupInsts: 100_000, MeasureInsts: 1_200_000}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ func shortOpts() RunOpts {
 
 // TestEngineMatchesDirectRunByteForByte is the bit-identity acceptance
 // gate: for each of the four figure configurations the Engine's Report
-// must serialize to exactly the bytes the direct (deprecated,
-// engine-less) path produces.
+// must serialize to exactly the bytes the direct (engine-less, uncached)
+// path produces.
 func TestEngineMatchesDirectRunByteForByte(t *testing.T) {
 	eng := testEngine(t, EngineOpts{Workers: 2})
 	ctx := context.Background()
@@ -42,7 +42,7 @@ func TestEngineMatchesDirectRunByteForByte(t *testing.T) {
 		{"4T-L2_256", Figure2(4).WithL2Latency(256)},
 	}
 	for _, cfg := range configs {
-		direct, err := RunMix(cfg.machine, shortOpts())
+		direct, err := runRequest(MixRequest(cfg.machine, shortOpts()))
 		if err != nil {
 			t.Fatalf("%s: direct: %v", cfg.name, err)
 		}
@@ -338,7 +338,7 @@ func TestEngineCustomWorkloadsAreCacheable(t *testing.T) {
 	b.Kernels[0].FPChains = 2
 	req := CustomRequest(b, Figure2(1), shortOpts())
 
-	direct, err := RunCustom(b, Figure2(1), shortOpts())
+	direct, err := runRequest(CustomRequest(b, Figure2(1), shortOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func (c *Core) warpRound(n int64) int64 {
 // warped instructions' speculative prefetches coincide with their own
 // functional warming, and the per-context LoD countdown simply does not
 // advance. Sampled-mode runs therefore estimate a machine whose gaps
-// are speculation-free; exact and adaptive runs model every event.
+// are speculation-free; exact runs model every event.
 func (c *Core) Warp(n int64) int64 {
 	var done int64
 	for done < n {

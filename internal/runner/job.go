@@ -109,14 +109,12 @@ type Budget struct {
 	// Mode selects the execution mode (sim.Mode; empty = exact). Both
 	// new fields are omitempty so every pre-existing exact-mode job
 	// hashes exactly as it did before modes existed, keeping on-disk
-	// cache entries valid. Adaptive runs are bit-identical to exact ones
-	// but hash distinctly: the cache never has to trust that equivalence,
-	// it only ever replays what that mode actually produced.
+	// cache entries valid.
 	Mode sim.Mode `json:",omitempty"`
 	// Sampling parameterizes sampled mode. Callers must spell the
 	// parameters out (daesim.Request.Normalized resolves the defaults),
 	// so a job's hash never depends on which sim version's defaults were
-	// compiled in. Nil for exact and adaptive jobs.
+	// compiled in. Nil for exact jobs.
 	Sampling *sim.Sampling `json:",omitempty"`
 }
 
@@ -199,7 +197,7 @@ func (j Job) Validate() error {
 		return fmt.Errorf("runner: job %q: non-positive measurement budget", j.Key)
 	}
 	switch j.Budget.Mode {
-	case sim.ModeExact, sim.ModeAdaptive:
+	case sim.ModeExact:
 		if j.Budget.Sampling != nil {
 			return fmt.Errorf("runner: job %q: sampling parameters without sampled mode", j.Key)
 		}
@@ -273,8 +271,8 @@ func (j Job) sources() ([]trace.Reader, error) {
 func (j Job) disjoint() bool { return j.Workload.Kind != KindTrace }
 
 // Execute runs the job's simulation once, bypassing every cache tier and
-// the worker pool — the uncached one-shot path behind the public
-// package-level Run* wrappers. Cancelling ctx aborts the run promptly
+// the worker pool (the Runner calls it for each fresh simulation).
+// Cancelling ctx aborts the run promptly
 // with an error wrapping ctx.Err(). onProgress, when non-nil, receives
 // periodic in-run snapshots (every "every" graduated instructions;
 // <= 0 applies the sim default).

@@ -483,7 +483,7 @@ func TestRunEndpointSpeculationRequest(t *testing.T) {
 // TestRunEndpointTraceRequest: a trace workload round-trips through the
 // HTTP surface and reproduces the generator run it was exported from.
 func TestRunEndpointTraceRequest(t *testing.T) {
-	ts, _ := newTestServer(t, daesim.EngineOpts{Workers: 1}, 0)
+	ts, eng := newTestServer(t, daesim.EngineOpts{Workers: 1}, 0)
 	m := daesim.Figure2(2)
 	b, err := daesim.BenchmarkByName("tomcatv")
 	if err != nil {
@@ -509,7 +509,7 @@ func TestRunEndpointTraceRequest(t *testing.T) {
 	if rr.Report == nil || rr.Report.IPC() <= 0 {
 		t.Fatalf("degenerate trace report: %+v", rr.Report)
 	}
-	want, err := daesim.RunBenchmark("tomcatv", m, tinyOpts())
+	want, err := eng.Run(context.Background(), daesim.BenchmarkRequest("tomcatv", m, tinyOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,6 @@ type machine interface {
 	Cycles() int64
 	// Graduated counts instructions retired in the current window.
 	Graduated() int64
-	// SkippedCycles counts cycles fast-forwarded over since construction.
-	SkippedCycles() int64
 	// Done reports whether all sources drained and pipelines emptied.
 	Done() bool
 	// ResetStats zeroes the statistics window; machine state (caches,
@@ -66,15 +64,14 @@ func build(mc config.Machine, sources []trace.Reader) (machine, error) {
 // coreMachine adapts a single core.Core.
 type coreMachine struct{ c *core.Core }
 
-func (m coreMachine) Tick()                { m.c.Tick() }
-func (m coreMachine) Step(horizon int64)   { m.c.Step(horizon) }
-func (m coreMachine) Now() int64           { return m.c.Now() }
-func (m coreMachine) Cycles() int64        { return m.c.Collector().Cycles }
-func (m coreMachine) Graduated() int64     { return m.c.Collector().Graduated }
-func (m coreMachine) SkippedCycles() int64 { return m.c.SkippedCycles() }
-func (m coreMachine) Done() bool           { return m.c.Done() }
-func (m coreMachine) DrainPipeline() bool  { return m.c.DrainPipeline() }
-func (m coreMachine) Warp(n int64) int64   { return m.c.Warp(n) }
+func (m coreMachine) Tick()               { m.c.Tick() }
+func (m coreMachine) Step(horizon int64)  { m.c.Step(horizon) }
+func (m coreMachine) Now() int64          { return m.c.Now() }
+func (m coreMachine) Cycles() int64       { return m.c.Collector().Cycles }
+func (m coreMachine) Graduated() int64    { return m.c.Collector().Graduated }
+func (m coreMachine) Done() bool          { return m.c.Done() }
+func (m coreMachine) DrainPipeline() bool { return m.c.DrainPipeline() }
+func (m coreMachine) Warp(n int64) int64  { return m.c.Warp(n) }
 
 func (m coreMachine) ResetStats() {
 	m.c.Collector().Reset()
@@ -103,7 +100,6 @@ func (m cmpMachine) Step(horizon int64)   { m.p.Step(horizon) }
 func (m cmpMachine) Now() int64           { return m.p.Now() }
 func (m cmpMachine) Cycles() int64        { return m.p.Core(0).Collector().Cycles }
 func (m cmpMachine) Graduated() int64     { return m.p.Graduated() }
-func (m cmpMachine) SkippedCycles() int64 { return m.p.SkippedCycles() }
 func (m cmpMachine) Done() bool           { return m.p.Done() }
 func (m cmpMachine) ResetStats()          { m.p.ResetStats() }
 func (m cmpMachine) Report() stats.Report { return m.p.Report() }
@@ -117,11 +113,11 @@ type runner struct {
 	m         machine
 	maxCycles int64
 	every     int64
-	// step advances the machine one scheduler step: Tick (stepped),
-	// Step-to-horizon (exact), or the adaptive controller's choice. The
-	// window loops only depend on state that is frozen during a skip
-	// (graduation counts, Done, the cycle bound the skip is clamped to),
-	// so every driver takes the same path through each window boundary.
+	// step advances the machine one scheduler step: Tick (stepped) or
+	// Step to the cycle cap (every other run). The window loops only
+	// depend on state that is frozen during a skip (graduation counts,
+	// Done, the cycle bound the skip is clamped to), so both drivers take
+	// the same path through each window boundary.
 	step func()
 	// polls counts scheduler steps for amortized cancellation checks.
 	polls int64
@@ -195,7 +191,7 @@ func (r *runner) epochStep() {
 	}
 }
 
-func newRunner(ctx context.Context, opts Options, mode Mode, m machine) *runner {
+func newRunner(ctx context.Context, opts Options, m machine) *runner {
 	r := &runner{ctx: ctx, opts: opts, m: m, completed: true}
 	r.maxCycles = opts.MaxCycles
 	if r.maxCycles <= 0 {
@@ -205,14 +201,9 @@ func newRunner(ctx context.Context, opts Options, mode Mode, m machine) *runner 
 	if r.every <= 0 {
 		r.every = DefaultProgressEvery
 	}
-	switch {
-	case opts.Stepped:
+	if opts.Stepped {
 		r.step = m.Tick
-	case mode == ModeAdaptive || mode == ModeSampled:
-		// Sampled runs use the adaptive driver for their detailed phases:
-		// the controller is bit-neutral, and sampling exists for speed.
-		r.step = newAdaptiveStepper(m, r.maxCycles)
-	default:
+	} else {
 		r.step = func() { m.Step(r.maxCycles) }
 	}
 	return r
@@ -259,7 +250,7 @@ func (r *runner) window(phase string, target, limit int64, more func() bool) err
 	return nil
 }
 
-// runDetailed is the exact/adaptive run: warm-up window, stats reset,
+// runDetailed is the exact run: warm-up window, stats reset,
 // measurement window, report.
 func (r *runner) runDetailed() (Result, error) {
 	m, opts := r.m, r.opts

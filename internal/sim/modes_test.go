@@ -12,99 +12,36 @@ import (
 	"repro/internal/trace"
 )
 
-// Execution-mode tests: the adaptive controller must be bit-identical to
-// exact execution on every configuration (it only chooses which driver
-// advances the clock), and sampled mode must be a deterministic,
-// well-formed estimator.
+// Execution-mode tests: sampled mode must be a deterministic,
+// well-formed estimator whose detailed phases are as exact as a detailed
+// run's, and the mode front door must reject what it cannot run.
 
-// runAdaptiveExact runs the same configuration in exact and adaptive mode
-// and fails the test on any difference between the two results.
-func runAdaptiveExact(t *testing.T, name string, opts Options, sources func() []trace.Reader) Result {
-	t.Helper()
-	opts.Sources = sources()
-	opts.Mode = ModeExact
-	exact, err := Run(context.Background(), opts)
-	if err != nil {
-		t.Fatalf("%s: exact run: %v", name, err)
-	}
-	opts.Sources = sources()
-	opts.Mode = ModeAdaptive
-	adaptive, err := Run(context.Background(), opts)
-	if err != nil {
-		t.Fatalf("%s: adaptive run: %v", name, err)
-	}
-	if !reflect.DeepEqual(adaptive, exact) {
-		t.Errorf("%s: adaptive diverged from exact\nexact:    %+v\nadaptive: %+v", name, exact, adaptive)
-	}
-	return adaptive
-}
-
-// TestAdaptiveEquivalence pins adaptive == exact bit-identically on the
-// four figure configurations plus the i1 (finite shared L2 + DRAM) and c1
-// (CMP) machines, and on controller switch-boundary machines: a window
-// straddling calendar far-overflow drains (L2 latency beyond the wheel
-// window), tiny MSHR pools so mode switches land mid-fill, and a CMP
-// whose cores would disagree on the preferred mode (one stalling, one
-// busy) — the controller is per-run, so lockstep stays deterministic.
-func TestAdaptiveEquivalence(t *testing.T) {
+// TestSampledSteppedEquivalence: the sampled schedule's detailed phases
+// run on the same driver as exact runs, so stepping them cycle by cycle
+// must leave every unit — and with it the estimate and its CI — bit-for-
+// bit unchanged, on a flat machine, a long-latency one and a CMP.
+func TestSampledSteppedEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
 		machine config.Machine
-		threads int
 	}{
-		// The four figure configs.
-		{"fig/1T-L2_16", config.Figure2(1), 1},
-		{"fig/1T-L2_256", config.Figure2(1).WithL2Latency(256), 1},
-		{"fig/4T-L2_16", config.Figure2(4), 4},
-		{"fig/4T-L2_256", config.Figure2(4).WithL2Latency(256), 4},
-		// i1-style machine: finite shared L2 over DRAM.
-		{"i1", config.Figure2(4).WithHierarchy(64, config.SharedL2(64<<10, 8)), 4},
-		// c1-style machine: 2 cores × 2 contexts over a shared L2.
-		{"c1", config.Figure2(2).WithCores(2).WithHierarchy(64, config.SharedL2(256<<10, 8)), 4},
-		// Far-overflow straddle: every refill is scheduled beyond the
-		// calendar wheel, so controller windows end inside far-overflow
-		// drains.
-		{"far-window", config.Figure2(2).WithL2Latency(6000), 2},
-		// Mid-MSHR-fill switches: a 2-entry L2 MSHR pool keeps fills
-		// in flight almost continuously, so mode switches land mid-fill.
-		{"mshr-fill", func() config.Machine {
-			l2 := config.SharedL2(128<<10, 2)
-			l2.MSHRs = 2
-			return config.Figure2(4).WithHierarchy(100, l2)
-		}(), 4},
-		// Disagreeing CMP cores: core 0 runs a long-latency-bound thread
-		// mix while core 1 runs the same — but private-state divergence
-		// makes their instantaneous skip rates differ; the per-run
-		// controller must still keep the lockstep fabric deterministic.
-		{"cmp-disagree", config.Figure2(1).WithCores(2).WithHierarchy(200, config.SharedL2(64<<10, 1)), 2},
+		{"1T-L2_16", config.Figure2(1)},
+		{"4T-L2_256", config.Figure2(4).WithL2Latency(256)},
+		{"cmp2x2/shared", config.Figure2(2).WithCores(2).WithHierarchy(64, config.SharedL2(256<<10, 8))},
 	}
 	for _, c := range cases {
+		n := c.machine.TotalContexts()
 		opts := Options{
 			Machine:      c.machine,
-			WarmupInsts:  shortWarmup * int64(c.threads),
-			MeasureInsts: shortMeasure * int64(c.threads),
+			WarmupInsts:  shortWarmup * int64(n),
+			MeasureInsts: 60_000 * int64(n),
+			Mode:         ModeSampled,
+			Sampling:     Sampling{PeriodInsts: 9_000, UnitInsts: 1_000, WarmupInsts: 2_000},
 		}
-		threads := c.threads
-		runAdaptiveExact(t, c.name, opts, func() []trace.Reader {
-			return mixSources(t, threads, 0)
-		})
-	}
-}
-
-// TestAdaptiveEquivalenceAcrossWindowScales shrinks the measurement so the
-// run ends inside the very first probe window, straddles exactly one
-// boundary, and spans many boundaries — the controller's decision points
-// must never perturb results.
-func TestAdaptiveEquivalenceAcrossWindowScales(t *testing.T) {
-	for _, measure := range []int64{500, 3_000, 70_000, 300_000} {
-		opts := Options{
-			Machine:      config.Figure2(2).WithL2Latency(256),
-			WarmupInsts:  1_000,
-			MeasureInsts: measure,
+		res := runBoth(t, c.name, opts, func() []trace.Reader { return mixSources(t, n, 5) })
+		if s := res.Report.Sampled; s == nil || s.Units < 2 {
+			t.Fatalf("%s: expected several measured units, got %+v", c.name, s)
 		}
-		runAdaptiveExact(t, "window-scale", opts, func() []trace.Reader {
-			return mixSources(t, 2, 0)
-		})
 	}
 }
 
@@ -272,7 +209,7 @@ func TestSampledFailedDrainIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	stuck := &stuckDrain{machine: m}
-	_, err = newRunner(context.Background(), opts, ModeSampled, stuck).runSampled()
+	_, err = newRunner(context.Background(), opts, stuck).runSampled()
 	if err == nil || !strings.Contains(err.Error(), "did not drain") {
 		t.Fatalf("failed drain: err = %v, want a drain error", err)
 	}

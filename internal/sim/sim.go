@@ -3,21 +3,20 @@
 // (the paper skips each benchmark's start-up phase), resets the statistics,
 // runs the measurement window, and produces the final report.
 //
-// Three execution modes cover the speed/fidelity lattice (DESIGN.md §10):
+// Two execution modes cover the speed/fidelity lattice (DESIGN.md §10):
 //
 //   - exact (the default): every cycle of the measurement is simulated in
 //     detail, fast-forwarding over provably idle stretches via the event
 //     calendar. Bit-identical to cycle-by-cycle stepping.
-//   - adaptive: the same detailed simulation, but a per-window controller
-//     watches the realized skip rate and falls back to plain stepping when
-//     fast-forwarding cannot pay for its bookkeeping. Bit-identical to
-//     exact by construction — the controller only chooses which driver
-//     advances the clock.
 //   - sampled: SMARTS-style systematic sampling — short detailed units
 //     spread over the instruction budget, separated by functional warp
 //     gaps (architectural state only) and detailed re-warm windows. An
 //     estimate, not an exact result: the report carries the per-unit mean
 //     IPC and its 95% confidence interval in Report.Sampled.
+//
+// Both modes advance the detailed machine through one driver, Step to the
+// run's cycle cap; Options.Stepped swaps in cycle-by-cycle Tick as the
+// golden reference the equivalence tests compare against.
 package sim
 
 import (
@@ -38,9 +37,6 @@ type Mode string
 const (
 	// ModeExact is full detailed simulation with calendar fast-forward.
 	ModeExact Mode = ""
-	// ModeAdaptive is detailed simulation with the per-window
-	// fast-forward/stepping controller. Bit-identical to ModeExact.
-	ModeAdaptive Mode = "adaptive"
 	// ModeSampled is SMARTS-style systematic sampling: estimative, with
 	// confidence intervals in Report.Sampled.
 	ModeSampled Mode = "sampled"
@@ -115,7 +111,7 @@ type Options struct {
 	WarmupInsts int64
 	// MeasureInsts is the number of graduated instructions in the
 	// measurement window. Zero measures until the sources drain (exact
-	// and adaptive modes only; sampled mode needs a finite budget). In
+	// mode only; sampled mode needs a finite budget). In
 	// sampled mode it is the *total* instruction budget the sampling
 	// schedule covers — measured, re-warmed and warped together.
 	MeasureInsts int64
@@ -148,9 +144,8 @@ type Options struct {
 	// Stepped forces cycle-by-cycle simulation, disabling the core's
 	// event-calendar fast-forward over idle stretches. Results are
 	// bit-identical either way (enforced by the equivalence tests);
-	// stepping exists as the golden reference and for debugging. It
-	// overrides ModeAdaptive, and in ModeSampled it steps the detailed
-	// phases.
+	// stepping exists as the golden reference and for debugging. In
+	// ModeSampled it steps the detailed phases.
 	Stepped bool
 	// OnProgress, when set, receives a Snapshot roughly every
 	// ProgressEvery graduated instructions (and once at each window
@@ -215,7 +210,7 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 		mode = ModeExact
 	}
 	switch mode {
-	case ModeExact, ModeAdaptive, ModeSampled:
+	case ModeExact, ModeSampled:
 	default:
 		return Result{}, fmt.Errorf("sim: unknown execution mode %q", opts.Mode)
 	}
@@ -234,14 +229,12 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 	if cm, ok := m.(cmpMachine); ok && opts.DisjointAddressSpaces {
 		cm.p.Interconnect().SetDisjointAddressSpaces(true)
 	}
-	r := newRunner(ctx, opts, mode, m)
+	r := newRunner(ctx, opts, m)
 	if cm, ok := m.(cmpMachine); ok && opts.Parallel > 1 &&
 		CanParallelize(opts.Machine, opts.DisjointAddressSpaces, opts.Stepped) {
 		// Epoch-parallel CMP execution: bit-identical to the serial
-		// drivers (including the adaptive controller it displaces —
-		// adaptive is itself bit-identical to exact). Sampled runs
-		// parallelize their detailed phases; drains and warps stay
-		// serial.
+		// driver. Sampled runs parallelize their detailed phases; drains
+		// and warps stay serial.
 		er := core.NewEpochRunner(cm.p, opts.Parallel)
 		defer er.Close()
 		r.epoch = er

@@ -66,12 +66,10 @@ type Workload struct {
 // Execution modes a Request can ask for (Budget.Mode).
 const (
 	// ModeExact is full detailed simulation (the default; an empty mode
-	// normalizes to it, and "exact" spelled out hashes identically).
+	// normalizes to it, and "exact" spelled out hashes identically, as
+	// does the retired "adaptive" mode, whose results were always
+	// bit-identical to exact ones).
 	ModeExact = "exact"
-	// ModeAdaptive is detailed simulation with the per-window
-	// fast-forward/stepping controller — bit-identical results, usually
-	// faster wall-clock.
-	ModeAdaptive = "adaptive"
 	// ModeSampled is SMARTS-style systematic sampling: an IPC *estimate*
 	// with a 95% confidence interval in Report.Sampled, at a fraction of
 	// the detailed cost.
@@ -101,9 +99,10 @@ type Budget struct {
 	MeasureInsts int64 `json:"measureInsts"`
 	// MaxCycles caps the run as a deadlock guard (0 = a large default).
 	MaxCycles int64 `json:"maxCycles,omitempty"`
-	// Mode selects the execution mode: ModeExact (default), ModeAdaptive
-	// or ModeSampled. Omitted — and normalized away for "exact" — so
-	// every pre-mode Request hashes exactly as it always did.
+	// Mode selects the execution mode: ModeExact (default) or
+	// ModeSampled. Omitted — and normalized away for "exact" and its
+	// alias "adaptive" — so every pre-mode Request hashes exactly as it
+	// always did.
 	Mode string `json:"mode,omitempty"`
 	// Sampling parameterizes ModeSampled; it must be nil otherwise.
 	Sampling *Sampling `json:"sampling,omitempty"`
@@ -185,10 +184,12 @@ func (r Request) Normalized() Request {
 		r.Budget.MeasureInsts = DefaultMeasure
 	}
 	// Mode canonicalization: exact is the zero value ("exact" spelled out
-	// folds to it, pinning pre-mode request hashes), and sampled requests
-	// get their schedule spelled out in full so their hashes never depend
-	// on which simulator version's defaults were compiled in.
-	if r.Budget.Mode == ModeExact {
+	// folds to it, pinning pre-mode request hashes, and so does the
+	// "adaptive" alias, so those requests share exact's cache entries),
+	// and sampled requests get their schedule spelled out in full so
+	// their hashes never depend on which simulator version's defaults
+	// were compiled in.
+	if r.Budget.Mode == ModeExact || r.Budget.Mode == "adaptive" {
 		r.Budget.Mode = ""
 	}
 	if r.Budget.Mode == ModeSampled {
@@ -274,10 +275,11 @@ func (r Request) Validate() error {
 	case n.Workload.SegmentLen < 0:
 		return invalid("negative mix segment length %d", n.Workload.SegmentLen)
 	}
-	// Execution mode. Normalization already folded "exact" to "" and
-	// spelled out sampled schedules, so only the canonical forms remain.
+	// Execution mode. Normalization already folded "exact" and
+	// "adaptive" to "" and spelled out sampled schedules, so only the
+	// canonical forms remain.
 	switch n.Budget.Mode {
-	case "", ModeAdaptive:
+	case "":
 		if n.Budget.Sampling != nil {
 			return invalid("sampling parameters require sampled mode")
 		}

@@ -1,8 +1,10 @@
 package daesim
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -123,21 +125,21 @@ func TestValidateTypedErrors(t *testing.T) {
 	}
 }
 
-func TestDeprecatedWrappersValidateUpFront(t *testing.T) {
-	// The old entry points share the Request validation: a negative
-	// budget or a bad benchmark fails fast with a typed error instead of
-	// deep in the simulator.
-	if _, err := RunMix(Figure2(1), RunOpts{MeasureInsts: -1}); !errors.Is(err, ErrInvalidRequest) {
-		t.Errorf("RunMix with negative budget: %v, want ErrInvalidRequest", err)
+func TestOneShotRunValidatesUpFront(t *testing.T) {
+	// The uncached one-shot path shares the Request validation: a
+	// negative budget or a bad benchmark fails fast with a typed error
+	// instead of deep in the simulator.
+	if _, err := runRequest(MixRequest(Figure2(1), RunOpts{MeasureInsts: -1})); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("mix with negative budget: %v, want ErrInvalidRequest", err)
 	}
-	if _, err := RunBenchmark("quake3", Figure2(1), RunOpts{}); !errors.Is(err, ErrUnknownBenchmark) {
-		t.Errorf("RunBenchmark with unknown name: %v, want ErrUnknownBenchmark", err)
+	if _, err := runRequest(BenchmarkRequest("quake3", Figure2(1), RunOpts{})); !errors.Is(err, ErrUnknownBenchmark) {
+		t.Errorf("bench with unknown name: %v, want ErrUnknownBenchmark", err)
 	}
-	if _, err := RunMix(Figure2(0), RunOpts{}); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("RunMix with zero threads: %v, want ErrInvalidConfig", err)
+	if _, err := runRequest(MixRequest(Figure2(0), RunOpts{})); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("mix with zero threads: %v, want ErrInvalidConfig", err)
 	}
-	if _, err := RunCustom(Benchmark{}, Figure2(1), RunOpts{}); !errors.Is(err, ErrInvalidRequest) {
-		t.Errorf("RunCustom with empty model: %v, want ErrInvalidRequest", err)
+	if _, err := runRequest(CustomRequest(Benchmark{}, Figure2(1), RunOpts{})); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("custom with empty model: %v, want ErrInvalidRequest", err)
 	}
 }
 
@@ -188,10 +190,10 @@ func TestRequestHashesPinned(t *testing.T) {
 	}...)
 	// Execution-mode requests (PR 8): pinned at introduction. Mode and
 	// Sampling are omitempty and exact mode normalizes to the zero value,
-	// so these join the schema without moving any hash above; adaptive
-	// hashes *distinctly* from exact even though results are bit-identical
-	// (the cache never has to trust that equivalence), and sampled
-	// requests always hash with their parameters spelled out.
+	// so these join the schema without moving any hash above. The retired
+	// "adaptive" mode is an alias of exact and hashes as "mix t=4" (it
+	// hashed apart, as 2c2af3dc…, while it had its own driver), and
+	// sampled requests always hash with their parameters spelled out.
 	pinned = append(pinned, []struct {
 		name string
 		req  Request
@@ -199,10 +201,10 @@ func TestRequestHashesPinned(t *testing.T) {
 	}{
 		{"mode adaptive t=4", func() Request {
 			r := MixRequest(Figure2(4), RunOpts{})
-			r.Budget.Mode = ModeAdaptive
+			r.Budget.Mode = "adaptive"
 			return r.Normalized()
 		}(),
-			"2c2af3dcd1c40559e60aa1160f526e4bd17a6c2a2137663d8ea6b5d50ff8d922"},
+			"b77110730512b6dbacb4b1654998ce4eac19f32c20469c035ccdf045cde8bbad"},
 		{"mode sampled defaults", func() Request {
 			r := MixRequest(Figure2(4), RunOpts{MeasureInsts: 10_000_000})
 			r.Budget.Mode = ModeSampled
@@ -256,10 +258,40 @@ func TestRequestModeNormalization(t *testing.T) {
 		t.Error("explicit exact mode hashes apart from the default request")
 	}
 
-	adaptive := MixRequest(Figure2(2), RunOpts{})
-	adaptive.Budget.Mode = ModeAdaptive
-	if adaptive.Normalized().Hash() == base.Hash() {
-		t.Error("adaptive request shares the exact hash")
+	// "adaptive" is an alias of exact: it normalizes to the exact
+	// spelling (idempotently), hashes as exact, and an Engine serves
+	// both with == reports — from one cache entry.
+	adaptive := MixRequest(Figure2(2), RunOpts{WarmupInsts: 2_000, MeasureInsts: 8_000})
+	adaptive.Budget.Mode = "adaptive"
+	norm := adaptive.Normalized()
+	if norm.Budget.Mode != "" {
+		t.Errorf("adaptive normalized to mode %q, want the exact spelling %q", norm.Budget.Mode, "")
+	}
+	if !reflect.DeepEqual(norm.Normalized(), norm) {
+		t.Error("normalizing an adaptive request is not idempotent")
+	}
+	exact := MixRequest(Figure2(2), RunOpts{WarmupInsts: 2_000, MeasureInsts: 8_000})
+	if adaptive.Hash() != exact.Hash() {
+		t.Error("adaptive request hashes apart from exact")
+	}
+	ctx := context.Background()
+	exactRep, err := testEngine(t, EngineOpts{Workers: 1}).Run(ctx, exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := testEngine(t, EngineOpts{Workers: 1})
+	adaptiveRep, err := eng.Run(ctx, adaptive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(adaptiveRep, exactRep) {
+		t.Errorf("adaptive report differs from exact\nexact:    %+v\nadaptive: %+v", exactRep, adaptiveRep)
+	}
+	if _, err := eng.Run(ctx, exact); err != nil {
+		t.Fatal(err)
+	}
+	if s := eng.Stats(); s.Simulated != 1 || s.CacheHits != 1 {
+		t.Errorf("exact after adaptive did not hit its cache entry: %+v", s)
 	}
 
 	// Defaults spelled out: a sampled request with nil sampling must hash
