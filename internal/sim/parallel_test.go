@@ -69,29 +69,52 @@ func parallelCases() []struct {
 }
 
 func TestParallelEquivalenceCMP(t *testing.T) {
-	for _, mode := range []Mode{ModeExact, ModeSampled} {
-		name := "exact"
-		if mode != ModeExact {
-			name = string(mode)
-		}
+	arms := []struct {
+		name string
+		mode Mode
+		// stepRef also checks the parallel result against a serial
+		// cycle-by-cycle (Stepped) run of the same configuration.
+		stepRef bool
+	}{
+		{"exact", ModeExact, false},
+		// "adaptive" is the public alias of exact (Request.Normalized
+		// folds it), so its arm runs exact mode and pins what the alias
+		// promises: whichever driver advances the clock, the result is
+		// the exact one — parallel fast-forward against serial Tick.
+		{"adaptive", ModeExact, true},
+		{"sampled", ModeSampled, false},
+	}
+	for _, arm := range arms {
+		arm := arm
 		for _, tc := range parallelCases() {
 			tc := tc
-			t.Run(name+"/"+tc.name, func(t *testing.T) {
+			t.Run(arm.name+"/"+tc.name, func(t *testing.T) {
 				n := tc.machine.TotalContexts()
 				opts := Options{
 					Machine:               tc.machine,
 					WarmupInsts:           shortWarmup * int64(n),
 					MeasureInsts:          shortMeasure * int64(n),
-					Mode:                  mode,
+					Mode:                  arm.mode,
 					DisjointAddressSpaces: true,
 				}
-				if mode == ModeSampled {
+				if arm.mode == ModeSampled {
 					opts.Sampling = Sampling{PeriodInsts: 5_000, UnitInsts: 500, WarmupInsts: 1_000}
 					opts.MeasureInsts *= 4
 				}
-				runParallelBoth(t, tc.name, opts, 4, func() []trace.Reader {
-					return mixSources(t, n, 13)
-				})
+				sources := func() []trace.Reader { return mixSources(t, n, 13) }
+				parallel := runParallelBoth(t, tc.name, opts, 4, sources)
+				if !arm.stepRef {
+					return
+				}
+				opts.Sources = sources()
+				opts.Stepped = true
+				stepped, err := Run(context.Background(), opts)
+				if err != nil {
+					t.Fatalf("%s: stepped run: %v", tc.name, err)
+				}
+				if !reflect.DeepEqual(parallel, stepped) {
+					t.Errorf("%s: parallel fast-forward diverged from stepping\nstepped:  %+v\nparallel: %+v", tc.name, stepped, parallel)
+				}
 			})
 		}
 	}
